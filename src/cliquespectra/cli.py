@@ -227,7 +227,8 @@ def _cmd_max_tree(args) -> int:
         tree = layered.star_tree(1 << args.C)
     else:
         tree = layered.build_greedy_max_tree(args.C)
-    assert not layered.validate_layered(tree, layered.LayeredParams(args.k, args.C))
+    if layered.validate_layered(tree, layered.LayeredParams(args.k, args.C)):
+        raise RuntimeError(f"the maximum ({args.k},{args.C}) tree fails its own budgets")
     print(f"maximum ({args.k},{args.C}) tree: {tree.size} vertices")
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -255,25 +256,12 @@ def _cmd_search_g(args) -> int:
         print(f"shard {args.shard}/{args.shards} [{lo}, {hi}): best {shard.best_found}, "
               f"witness index {shard.witness_edge_index}")
         if args.checkpoint:
-            cp = search.load_checkpoint(args.checkpoint)
-            if cp is None:
-                cp = search.SearchCheckpoint(args.n, args.k, [], -1, -1)
-            elif (cp.n, cp.k) != (args.n, args.k):
-                raise ValueError(f"checkpoint is for n={cp.n} k={cp.k}")
-            if (lo, hi) not in cp.shards_done:
-                if shard.best_found > cp.best or (
-                    shard.best_found == cp.best
-                    and shard.witness_edge_index < cp.witness_edge_index
-                ):
-                    cp.best = shard.best_found
-                    cp.witness_edge_index = shard.witness_edge_index
-                cp.shards_done.append((lo, hi))
-                search.save_checkpoint(cp, args.checkpoint)
+            cp = search.open_checkpoint(args.checkpoint, args.n, args.k)
+            if search.record_shard(cp, shard, args.checkpoint):
                 print(f"checkpoint updated: {len(cp.shards_done)}/{len(ranges)} shards done")
         return 0
     if args.shards is not None:
-        out = search.exhaustive_g_sharded(args.n, args.k, args.shards, args.checkpoint)
-        g_value, witness = out
+        g_value, witness = search.exhaustive_g_sharded(args.n, args.k, args.shards, args.checkpoint)
     else:
         g_value, witness = search.exhaustive_g(args.n, args.k)
     print(f"g({args.n},{args.k}) = {g_value}")

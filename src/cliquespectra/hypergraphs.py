@@ -2,8 +2,10 @@
 
 A vertex set is complete when every k-subset of it is an edge (vacuously so
 below size k), and a maximal clique is a complete set that no single vertex
-can extend.  Vertex sets are plain ``frozenset[int]``; edges are canonical
-sorted k-tuples so membership tests are single hash lookups.
+can extend.  Vertex sets in the API are ``frozenset[int]``; edges are
+canonical sorted k-tuples so membership tests are single hash lookups.
+Enumeration works on int bitmasks (bit v for vertex v) and converts its
+results back to frozensets.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import FrozenSet, Iterable, List, Tuple
 
 VertexSet = FrozenSet[int]
@@ -55,20 +56,11 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        return cls(k, n, frozenset(tuple(sorted(e)) for e in edges))
+        return cls(k, n, tuple(map(tuple, edges)))  # __post_init__ canonicalizes
 
     @property
     def vertices(self) -> VertexSet:
         return frozenset(range(self.n))
-
-    @cached_property
-    def _neighbor_map(self) -> dict:
-        # Pairwise adjacency; meaningful only for k == 2.
-        nb = {v: set() for v in range(self.n)}
-        for a, b in self.edges:
-            nb[a].add(b)
-            nb[b].add(a)
-        return {v: frozenset(s) for v, s in nb.items()}
 
     def _check_members(self, members: Iterable[int]) -> VertexSet:
         s = frozenset(members)
@@ -123,48 +115,60 @@ def _lex_key(clique: VertexSet) -> List[int]:
 def enumerate_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
     """All maximal cliques, each once, ordered lexicographically.
 
-    Recursion state is (current complete set, candidates, excluded) where
-    candidates and excluded partition the extenders of the current set; by
-    anti-monotonicity both shrink monotonically down each branch.  Pivoting is
-    sound only in the pairwise case, so it is enabled for k == 2 alone.
+    Bron-Kerbosch over int vertex bitmasks.  link[S] is the mask of vertices
+    that close the (k-1)-set S into an edge.  The state is (base R, candidates
+    P, excluded X), where P and X partition the extenders of R; R+{v} keeps
+    the u with R+{v,u} complete, i.e. u in link[T|v] for every (k-2)-subset T
+    of R.  Tomita pivoting is sound only in the pairwise case, so it is
+    enabled for k == 2 alone.
     """
     k = H.k
-    edges = H.edges
-    results: List[VertexSet] = []
+    link: dict = {}
+    for edge in H.edges:
+        members = sum(1 << v for v in edge)
+        for v in edge:
+            rest = members ^ (1 << v)
+            link[rest] = link.get(rest, 0) | 1 << v
+    found: List[VertexSet] = []
 
-    def survivors(group: set, base: List[int], v: int) -> set:
-        # group members that still extend base+{v}: every (k-2)-subset of base
-        # must close into an edge with v and the member
-        if k == 2:
-            return group & H._neighbor_map[v]
-        out = set(group)
-        for combo in itertools.combinations(sorted(base), k - 2):
-            prefix = combo + (v,)
-            out = {u for u in out if tuple(sorted(prefix + (u,))) in edges}
-            if not out:
-                break
-        return out
-
-    def expand(base: List[int], cand: set, excl: set):
-        if not cand and not excl:
-            results.append(frozenset(base))
+    def expand(base: Tuple[int, ...], subsets: List[list], cand: int, excl: int):
+        # subsets[j]: masks of the j-subsets of base, for j = 0..k-2
+        if not cand:
+            if not excl:
+                found.append(frozenset(base))
             return
+        order = cand
         if k == 2:
-            pivot = max(sorted(cand | excl), key=lambda p: len(cand & H._neighbor_map[p]))
-            order = sorted(cand - H._neighbor_map[pivot])
-        else:
-            order = sorted(cand)
-        for v in order:
-            cand.discard(v)
-            new_cand = survivors(cand, base, v)
-            new_excl = survivors(excl, base, v)
-            base.append(v)
-            expand(base, new_cand, new_excl)
-            base.pop()
-            excl.add(v)
+            most = -1
+            rest = cand | excl
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                count = (cand & link.get(u, 0)).bit_count()
+                if count > most:
+                    most, pivot = count, u
+            order = cand & ~link.get(pivot, 0)
+        while order:
+            v = order & -order
+            order ^= v
+            if k == 2:
+                keep = link.get(v, 0)
+                grown = subsets
+            else:
+                keep = -1
+                for t in subsets[-1]:
+                    keep &= link.get(t | v, 0)
+                    if not keep:
+                        break
+                grown = [subsets[0]]
+                for j in range(1, k - 1):
+                    grown.append(subsets[j] + [t | v for t in subsets[j - 1]])
+            cand ^= v
+            expand(base + (v.bit_length() - 1,), grown, cand & keep, excl & keep)
+            excl |= v
 
-    expand([], set(range(H.n)), set())
-    return sorted(results, key=_lex_key)
+    expand((), [[0]] + [[] for _ in range(k - 2)], (1 << H.n) - 1, 0)
+    return sorted(found, key=_lex_key)
 
 
 def brute_force_maximal_cliques(H: Hypergraph) -> List[VertexSet]:

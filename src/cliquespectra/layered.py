@@ -204,7 +204,8 @@ def build_greedy_max_tree(offset: int, cap: int = 1_000_000) -> OrderedTree:
         leaves = (1 << (offset + pos)) - 1  # positional degree budget minus the root edge
         parents.extend([pos] * leaves)
         count += leaves
-    assert count == target.to_int()
+    if count != target.to_int():
+        raise RuntimeError(f"greedy tree has {count} vertices, the recurrence {target.to_int()}")
     return OrderedTree(tuple(parents))
 
 

@@ -2,11 +2,12 @@
 
 The exhaustive scan enumerates every edge set on n labeled vertices as a bit
 index over the lexicographically ordered possible edges, evaluates each
-graph's distinct maximal-clique sizes with a subset-DP over bitmasks, and
-keeps the best count with the smallest witnessing index.  Index ranges shard
-trivially and merge deterministically; a checkpoint file makes long scans
-resumable.  Hill climbing over single edge flips provides lower-bound
-witnesses past exhaustive reach.
+graph's distinct maximal-clique sizes with a subset DP over bitmasks that
+shares no code with `enumerate_maximal_cliques` (which re-checks the winner),
+and keeps the best count with the smallest witnessing index.  Index ranges
+shard trivially and merge by one rule; a checkpoint file makes long scans
+resumable.  Hill climbing over single edge flips, each neighbor evaluated by
+enumeration, provides lower-bound witnesses past exhaustive reach.
 """
 
 from __future__ import annotations
@@ -188,41 +189,29 @@ def run_shard(n: int, k: int, lo: int, hi: int) -> SearchShard:
 
 def merge_shards(shards: Sequence[SearchShard]) -> Tuple[int, int]:
     """Deterministic merge: maximum count, then the smallest witness index."""
-    best = -1
-    witness = -1
-    for s in shards:
-        if s.best_found > best or (s.best_found == best and s.witness_edge_index < witness):
-            best = s.best_found
-            witness = s.witness_edge_index
-    return best, witness
+    ranks = ((s.best_found, -s.witness_edge_index) for s in shards)
+    best, neg_index = max(ranks, default=(-1, 1))
+    return best, -neg_index
 
 
-def exhaustive_g(
-    n: int, k: int, shard: Optional[Tuple[int, int]] = None
-) -> Tuple[int, Hypergraph]:
+def exhaustive_g(n: int, k: int) -> Tuple[int, Hypergraph]:
     """Exact maximum distinct-size count over all edge sets, with lex-least witness.
 
-    Unsharded scans refuse index spaces past 2^22; pass a (lo, hi) shard range
-    to scan a slice, then merge slices with merge_shards.
+    Refuses index spaces past 2^22; scan slices with run_shard instead, then
+    merge them with merge_shards.
     """
     bits = len(edge_universe(n, k))
-    space = 1 << bits
-    if shard is None:
-        if bits > MAX_UNSHARDED_BITS:
-            needed = 1 << (bits - MAX_UNSHARDED_BITS)
-            raise ValueError(
-                f"2^{bits} edge sets exceed the unsharded ceiling 2^{MAX_UNSHARDED_BITS}; "
-                f"run at least {needed} shards"
-            )
-        lo, hi = 0, space
-    else:
-        lo, hi = shard
-        if not 0 <= lo < hi <= space:
-            raise ValueError(f"shard range [{lo}, {hi}) outside [0, {space})")
-    best, index = scan_range(n, k, lo, hi)
+    if bits > MAX_UNSHARDED_BITS:
+        needed = 1 << (bits - MAX_UNSHARDED_BITS)
+        raise ValueError(
+            f"2^{bits} edge sets exceed the unsharded ceiling 2^{MAX_UNSHARDED_BITS}; "
+            f"run at least {needed} shards"
+        )
+    best, index = scan_range(n, k, 0, 1 << bits)
     witness = hypergraph_from_edge_index(n, k, index)
-    # Tie the fast path back to the reference pipeline on the winner.
-    assert clique_spectrum(witness).distinct_sizes == best
+    checked = clique_spectrum(witness).distinct_sizes  # ties the scan's DP to the engine
+    if checked != best:
+        raise RuntimeError(f"scan counts {best} sizes at index {index}, enumeration {checked}")
     return best, witness
 
 
@@ -252,6 +241,10 @@ class SearchCheckpoint:
             "updated_at": self.updated_at,
         }
 
+    @property
+    def best_found(self) -> int:  # a checkpoint merges like the shards it has folded in
+        return self.best
+
     @classmethod
     def from_json(cls, doc: dict) -> "SearchCheckpoint":
         return cls(
@@ -280,6 +273,29 @@ def load_checkpoint(path: str) -> Optional[SearchCheckpoint]:
         return SearchCheckpoint.from_json(json.load(fh))
 
 
+def open_checkpoint(path: Optional[str], n: int, k: int) -> SearchCheckpoint:
+    """The checkpoint at path, or a fresh one when there is none (or no path)."""
+    cp = load_checkpoint(path) if path else None
+    if cp is None:
+        return SearchCheckpoint(n, k, [], -1, -1, started_at=_now(), updated_at=_now())
+    if (cp.n, cp.k) != (n, k):
+        raise ValueError(f"checkpoint is for n={cp.n} k={cp.k}, not n={n} k={k}")
+    return cp
+
+
+def record_shard(cp: SearchCheckpoint, shard: SearchShard, path: Optional[str]) -> bool:
+    """Merge a finished shard into cp and save it to path; False if it was already done."""
+    span = (shard.mask_lo, shard.mask_hi)
+    if span in cp.shards_done:
+        return False
+    cp.best, cp.witness_edge_index = merge_shards([cp, shard])
+    cp.shards_done.append(span)
+    cp.updated_at = _now()
+    if path:
+        save_checkpoint(cp, path)
+    return True
+
+
 def exhaustive_g_sharded(
     n: int,
     k: int,
@@ -293,11 +309,7 @@ def exhaustive_g_sharded(
     checkpoint then carries the partial state for a later resume).
     """
     ranges = shard_ranges(n, k, num_shards)
-    cp = load_checkpoint(checkpoint_path) if checkpoint_path else None
-    if cp is not None and (cp.n, cp.k) != (n, k):
-        raise ValueError(f"checkpoint is for n={cp.n} k={cp.k}, not n={n} k={k}")
-    if cp is None:
-        cp = SearchCheckpoint(n, k, [], -1, -1, started_at=_now(), updated_at=_now())
+    cp = open_checkpoint(checkpoint_path, n, k)
     done = set(cp.shards_done)
     ran = 0
     for lo, hi in ranges:
@@ -305,17 +317,8 @@ def exhaustive_g_sharded(
             continue
         if max_shards_this_run is not None and ran >= max_shards_this_run:
             return None
-        shard = run_shard(n, k, lo, hi)
+        record_shard(cp, run_shard(n, k, lo, hi), checkpoint_path)
         ran += 1
-        if shard.best_found > cp.best or (
-            shard.best_found == cp.best and shard.witness_edge_index < cp.witness_edge_index
-        ):
-            cp.best = shard.best_found
-            cp.witness_edge_index = shard.witness_edge_index
-        cp.shards_done.append((lo, hi))
-        cp.updated_at = _now()
-        if checkpoint_path:
-            save_checkpoint(cp, checkpoint_path)
     return cp.best, hypergraph_from_edge_index(n, k, cp.witness_edge_index)
 
 
@@ -373,11 +376,10 @@ def hill_climb_g(
     """
     rng = random.Random(seed)
     bits = len(edge_universe(n, k))
-    if n <= 16:
-        evaluate = SpectrumScanner(n, k).distinct_sizes
-    else:
-        def evaluate(index):
-            return clique_spectrum(hypergraph_from_edge_index(n, k, index)).distinct_sizes
+
+    def evaluate(index):
+        return clique_spectrum(hypergraph_from_edge_index(n, k, index)).distinct_sizes
+
     best = -1
     best_index = -1
     for _ in range(max(1, restarts)):
@@ -401,5 +403,6 @@ def hill_climb_g(
                     break
         if current > best:
             best, best_index = current, mask
-    assert best <= n
+    if best > n:
+        raise RuntimeError(f"hill climb reported {best} distinct sizes on {n} vertices")
     return best, hypergraph_from_edge_index(n, k, best_index)

@@ -119,6 +119,23 @@ class TestEnumeration:
     def test_oracle_agreement_random(self, H):
         assert enumerate_maximal_cliques(H) == brute_force_maximal_cliques(H)
 
+    def test_oracle_agreement_k5(self):
+        # dense 5-uniform instances grow bases with many 3-subsets to filter by
+        rng = random.Random(5)
+        cases = [complete_graph(5, 8)]
+        cases += [random_hypergraph(rng.randint(6, 11), 5, rng.uniform(0.6, 1.0), rng)
+                  for _ in range(30)]
+        for H in cases:
+            assert enumerate_maximal_cliques(H) == brute_force_maximal_cliques(H)
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_oracle_agreement_up_to_16_vertices(self, n, k):
+        rng = random.Random(100 * n + k)
+        for p in (0.5, 0.8):
+            H = random_hypergraph(n, k, p, rng)
+            assert enumerate_maximal_cliques(H) == brute_force_maximal_cliques(H)
+
 
 class TestSpectrum:
     def test_complete_graph(self):
@@ -212,8 +229,10 @@ class TestTextFormat:
         assert parse_hypergraph(serialize_hypergraph(H)) == H
 
     def test_serialized_form_is_lf_and_sorted(self):
-        text = serialize_hypergraph(Hypergraph.from_edges(2, 3, [(2, 1), (1, 0)]))
-        assert text == "2 3\n0 1\n1 2\n"
+        # (0, 1) duplicates (1, 0) once sorted and is kept once
+        H = Hypergraph.from_edges(2, 3, [(2, 1), (1, 0), (0, 1)])
+        assert H.edges == frozenset({(0, 1), (1, 2)})
+        assert serialize_hypergraph(H) == "2 3\n0 1\n1 2\n"
 
 
 class TestConstruction:
@@ -228,6 +247,10 @@ class TestConstruction:
             Hypergraph.from_edges(2, 3, [(0, 0)])
         with pytest.raises(ValueError):
             Hypergraph.from_edges(2, 3, [(0, 3)])
+        with pytest.raises(ValueError):
+            Hypergraph.from_edges(2, 3, [(1, 0), (3, 1)])  # unsorted, out of range
+        with pytest.raises(ValueError):
+            Hypergraph.from_edges(3, 4, [(2, 1, 2)])  # unsorted, repeated vertex
 
     def test_k_larger_than_n_allowed(self):
         H = Hypergraph.from_edges(4, 2, [])

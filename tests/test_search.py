@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cliquespectra.hypergraphs import clique_spectrum
+from cliquespectra.hypergraphs import brute_force_maximal_cliques, clique_spectrum
 from cliquespectra.search import (
     SpectrumScanner,
     check_moon_moser,
@@ -74,6 +78,28 @@ class TestExhaustive:
     def test_monotone_in_n(self):
         values = [exhaustive_g(n, 2)[0] for n in range(1, 7)]
         assert values == sorted(values)
+
+    def test_witness_recheck_survives_optimized_mode(self):
+        # A scanner that reports one size too many must be caught even under
+        # python -O, which strips assert statements.
+        script = (
+            "import sys\n"
+            "from cliquespectra import search\n"
+            "assert False, 'asserts are live'\n"
+            "real = search.SpectrumScanner.distinct_sizes\n"
+            "search.SpectrumScanner.distinct_sizes = lambda self, i: real(self, i) + 1\n"
+            "try:\n"
+            "    search.exhaustive_g(4, 2)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "enumeration" in proc.stdout
 
 
 class TestSharding:
@@ -158,3 +184,8 @@ class TestHillClimb:
     def test_bounded_by_n(self):
         best, _ = hill_climb_g(6, 2, iters=400, seed=3, restarts=2)
         assert best <= 6
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_value_is_the_brute_force_count_of_the_witness(self, n):
+        best, witness = hill_climb_g(n, 2, iters=60, seed=n)
+        assert best == len({len(c) for c in brute_force_maximal_cliques(witness)})

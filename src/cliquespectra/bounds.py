@@ -245,10 +245,19 @@ class IterLogResult:
 
 
 def _one_log(cur):
-    """One base-2 log step; exact on integer powers of two, float otherwise."""
-    if isinstance(cur, int) and cur & (cur - 1) == 0:
-        return cur.bit_length() - 1
-    return math.log2(cur)
+    """One base-2 log step: exact on integer powers of two, float otherwise.
+
+    A float step from cur < 2^e stays strictly below e, although log2 may
+    round up to e (log2(2^65536 - 1) rounds to 65536.0), so every iterate
+    falls on the same side of each integer as the exact value does.
+    """
+    if isinstance(cur, int):
+        if cur & (cur - 1) == 0:
+            return cur.bit_length() - 1
+        ceiling = cur.bit_length()
+    else:
+        ceiling = math.frexp(cur)[1]
+    return min(math.log2(cur), math.nextafter(ceiling, -math.inf))
 
 
 def _log_star_number(x) -> int:

@@ -132,7 +132,7 @@ class TestIteratedLogs:
             iterated_log(16, 5)
 
     def test_log_star_brackets_one(self):
-        for x in (2, 3, 5, 16, 17, 65535, 65536, 10**9):
+        for x in (2, 3, 5, 16, 17, 65535, 65536, 10**9, 2**65536 - 1):
             s = log_star(x)
             assert iterated_log(x, s).value < 1
             assert iterated_log(x, s - 1).value >= 1

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from cliquespectra.search import (
     merge_shards,
     run_shard,
     save_checkpoint,
+    scan_range,
     shard_ranges,
 )
 
@@ -59,6 +61,43 @@ class TestScanner:
                 assert scanner.distinct_sizes(idx) == clique_spectrum(H).distinct_sizes
 
 
+def _oracle_scan(n, k, lo, hi):
+    """(best, smallest index) over [lo, hi), one enumeration per index."""
+    best, best_index = -1, -1
+    for idx in range(lo, hi):
+        d = clique_spectrum(hypergraph_from_edge_index(n, k, idx)).distinct_sizes
+        if d > best:
+            best, best_index = d, idx
+    return best, best_index
+
+
+BLOCK = 1 << 15
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("n,k", [(7, 2), (6, 3)])
+    @pytest.mark.parametrize("lo,hi", [
+        (81407, 81408),                    # a single index
+        (5000, 6200),                      # inside one block
+        (BLOCK - 900, BLOCK),              # ends exactly on a block boundary
+        (BLOCK, BLOCK + 300),              # starts exactly on one
+        (BLOCK - 700, BLOCK + 700),        # straddles one
+    ])
+    def test_scan_range_matches_per_index_oracle(self, n, k, lo, hi):
+        assert scan_range(n, k, lo, hi) == _oracle_scan(n, k, lo, hi)
+
+    def test_block_width_is_derived_from_n_and_k(self):
+        assert SpectrumScanner(7, 2).width == 15
+        assert SpectrumScanner(4, 2).width == 6  # 2^6 edge sets in all
+        assert SpectrumScanner(12, 2).width == 12  # 2^12 subsets x 2^12 lanes = 2^24 bits
+
+    def test_single_lane_agrees_with_its_block(self):
+        scanner = SpectrumScanner(6, 3)
+        for idx in (0, 1047, 81407, BLOCK - 1, BLOCK, (1 << 20) - 1):
+            base = idx - idx % BLOCK
+            assert scanner.best_in_block(base, 1 << (idx - base)) == (scanner.distinct_sizes(idx), idx)
+
+
 class TestExhaustive:
     def test_tiny_values(self):
         assert exhaustive_g(1, 2)[0] == 1
@@ -75,19 +114,26 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="shards"):
             exhaustive_g(8, 2)  # 2^28 edge sets
 
+    def test_pins_g_7_2(self):
+        g, witness = exhaustive_g(7, 2)
+        assert (g, edge_index_of(witness)) == (4, 2527)
+
     def test_monotone_in_n(self):
         values = [exhaustive_g(n, 2)[0] for n in range(1, 7)]
         assert values == sorted(values)
 
     def test_witness_recheck_survives_optimized_mode(self):
-        # A scanner that reports one size too many must be caught even under
-        # python -O, which strips assert statements.
+        # A block evaluator that reports one size too many must be caught even
+        # under python -O, which strips assert statements.
         script = (
             "import sys\n"
             "from cliquespectra import search\n"
             "assert False, 'asserts are live'\n"
-            "real = search.SpectrumScanner.distinct_sizes\n"
-            "search.SpectrumScanner.distinct_sizes = lambda self, i: real(self, i) + 1\n"
+            "real = search.SpectrumScanner.best_in_block\n"
+            "def inflated(self, base, valid):\n"
+            "    best, index = real(self, base, valid)\n"
+            "    return best + 1, index\n"
+            "search.SpectrumScanner.best_in_block = inflated\n"
             "try:\n"
             "    search.exhaustive_g(4, 2)\n"
             "except RuntimeError as exc:\n"
@@ -109,6 +155,10 @@ class TestSharding:
             shards = [run_shard(5, 3, lo, hi) for lo, hi in shard_ranges(5, 3, parts)]
             best, idx = merge_shards(shards)
             assert (best, idx) == (full_g, edge_index_of(full_w))
+        full = scan_range(7, 2, 0, 1 << 21)
+        for parts in (3, 64):  # unaligned shards, and shards of exactly one block
+            shards = [run_shard(7, 2, lo, hi) for lo, hi in shard_ranges(7, 2, parts)]
+            assert merge_shards(shards) == full
 
     def test_ranges_partition_the_space(self):
         ranges = shard_ranges(5, 3, 4)
@@ -144,6 +194,60 @@ class TestSharding:
         exhaustive_g_sharded(4, 2, 2, path)
         with pytest.raises(ValueError, match="checkpoint"):
             exhaustive_g_sharded(5, 3, 2, path)
+
+    def test_another_shard_count_is_reported(self, tmp_path):
+        path = str(tmp_path / "cp.json")
+        exhaustive_g_sharded(5, 3, 4, path, max_shards_this_run=1)
+        with pytest.raises(ValueError, match="another shard count"):
+            exhaustive_g_sharded(5, 3, 3, path)
+
+
+def _checkpoint_doc(**changes):
+    """A checkpoint of the full (5, 3) scan in two shards, with fields replaced."""
+    doc = {"schema_version": 1, "n": 5, "k": 3, "shards_done": [[0, 512], [512, 1024]],
+           "best": 3, "witness_edge_index": 79, "started_at": "", "updated_at": ""}
+    doc.update(changes)
+    return doc
+
+
+class TestCheckpointValidation:
+    def _load(self, tmp_path, doc):
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return load_checkpoint(str(path))
+
+    def test_accepts_a_scan_result(self, tmp_path):
+        assert self._load(tmp_path, _checkpoint_doc()).best == 3
+
+    def test_rejects_unknown_schema_version(self, tmp_path):
+        with pytest.raises(ValueError, match="schema_version"):
+            self._load(tmp_path, _checkpoint_doc(schema_version=2))
+
+    def test_rejects_missing_field(self, tmp_path):
+        doc = _checkpoint_doc()
+        del doc["best"]
+        with pytest.raises(ValueError, match="missing"):
+            self._load(tmp_path, doc)
+
+    def test_rejects_range_outside_the_space(self, tmp_path):
+        with pytest.raises(ValueError, match="2\\^10"):
+            self._load(tmp_path, _checkpoint_doc(shards_done=[[0, 512], [512, 1025]]))
+
+    def test_rejects_empty_range(self, tmp_path):
+        with pytest.raises(ValueError, match="nonempty"):
+            self._load(tmp_path, _checkpoint_doc(shards_done=[[0, 512], [600, 600]]))
+
+    def test_rejects_overlapping_ranges(self, tmp_path):
+        with pytest.raises(ValueError, match="overlap"):
+            self._load(tmp_path, _checkpoint_doc(shards_done=[[0, 600], [512, 1024]]))
+
+    def test_rejects_witness_outside_done_ranges(self, tmp_path):
+        with pytest.raises(ValueError, match="no done range"):
+            self._load(tmp_path, _checkpoint_doc(shards_done=[[512, 1024]]))
+
+    def test_rejects_witness_without_best_sizes(self, tmp_path):
+        with pytest.raises(ValueError, match="has 3 distinct sizes, not 4"):
+            self._load(tmp_path, _checkpoint_doc(best=4))
 
 
 class TestMoonMoser:

@@ -6,6 +6,13 @@ can extend.  Vertex sets in the API are ``frozenset[int]``; edges are
 canonical sorted k-tuples so membership tests are single hash lookups.
 Enumeration works on int bitmasks (bit v for vertex v) and converts its
 results back to frozensets.
+
+Each edge set is validated once.  ``Hypergraph(k, n, edges)`` and
+``Hypergraph.from_edges`` canonicalize and check untrusted edges; the parser
+checks every line itself.  The parser, ``random_hypergraph`` and
+``search.hypergraph_from_edge_index`` then build through
+``Hypergraph._canonical``, which checks k and n only, because their edges are
+canonical by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +38,13 @@ def complement(members: Iterable[int], n: int) -> VertexSet:
     return frozenset(range(n)) - frozenset(members)
 
 
+def _check_shape(k: int, n: int) -> None:
+    if not isinstance(k, int) or k < 2:
+        raise ValueError("uniformity k must be an integer >= 2")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("vertex count n must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """k-uniform hypergraph on vertices 0..n-1, immutable after construction."""
@@ -40,10 +54,7 @@ class Hypergraph:
     edges: FrozenSet[Tuple[int, ...]]
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError("uniformity k must be an integer >= 2")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("vertex count n must be an integer >= 1")
+        _check_shape(self.k, self.n)
         canon = set()
         for edge in self.edges:
             tup = tuple(sorted(edge))
@@ -57,6 +68,17 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         return cls(k, n, tuple(map(tuple, edges)))  # __post_init__ canonicalizes
+
+    @classmethod
+    def _canonical(cls, k: int, n: int, edges: Iterable[Tuple[int, ...]]) -> "Hypergraph":
+        """Build from edges that are canonical by construction: sorted k-tuples
+        of distinct vertices in 0..n-1.  Only k and n are checked here."""
+        _check_shape(k, n)
+        H = object.__new__(cls)
+        object.__setattr__(H, "k", k)
+        object.__setattr__(H, "n", n)
+        object.__setattr__(H, "edges", frozenset(edges))
+        return H
 
     @property
     def vertices(self) -> VertexSet:
@@ -203,7 +225,7 @@ def random_hypergraph(n: int, k: int, edge_probability: float, rng: random.Rando
         for combo in itertools.combinations(range(n), k)
         if rng.random() < edge_probability
     ]
-    return Hypergraph.from_edges(k, n, edges)
+    return Hypergraph._canonical(k, n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +265,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         edges[tup] = lineno
     if k is None:
         raise ParseError("missing 'k n' header", 1)
-    return Hypergraph(k, n, frozenset(edges))
+    return Hypergraph._canonical(k, n, edges)  # each edge checked and sorted above
 
 
 def serialize_hypergraph(H: Hypergraph) -> str:

@@ -46,7 +46,7 @@ def hypergraph_from_edge_index(n: int, k: int, index: int) -> Hypergraph:
         low = index & -index
         edges.append(universe[low.bit_length() - 1])
         index ^= low
-    return Hypergraph.from_edges(k, n, edges)
+    return Hypergraph._canonical(k, n, edges)  # the index check admits universe edges only
 
 
 def edge_index_of(H: Hypergraph) -> int:
@@ -204,10 +204,6 @@ class SearchShard:
             raise ValueError(
                 f"shard range [{self.mask_lo}, {self.mask_hi}) outside [0, {space})"
             )
-
-    @property
-    def witness(self) -> Hypergraph:
-        return hypergraph_from_edge_index(self.n, self.k, self.witness_edge_index)
 
 
 def shard_ranges(n: int, k: int, num_shards: int) -> List[Tuple[int, int]]:

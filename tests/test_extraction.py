@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cliquespectra.cli import run
 from cliquespectra.extraction import (
     ExtractionResult,
     certificate_document,
@@ -221,6 +222,14 @@ class TestCompletenessImplication:
     def test_wrong_set_count(self):
         with pytest.raises(ValueError, match="k \\+ 1"):
             completeness_implication(SINGLE_EDGE, [{0}, {1}])
+
+    def test_seeded_stream_is_pinned(self, capsys):
+        # Values of the seeded draw order; a change to it must fail here.
+        for (k, n), held in {(2, 12): 573, (3, 10): 501, (4, 9): 494}.items():
+            summary = implication_trials(k, n, 1500, seed=1)
+            assert (summary.trials, summary.hypotheses_held, summary.counterexamples) == (1500, held, ())
+        assert run(["check-fact1", "--k", "3", "--n", "10", "--trials", "1500", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == "1500 trials, hypotheses held in 501, counterexamples: 0\n"
 
     def test_trials_find_no_counterexamples(self):
         for k in (2, 3, 4):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from cliquespectra.hypergraphs import (
     random_hypergraph,
     serialize_hypergraph,
 )
+from cliquespectra.search import hypergraph_from_edge_index
 
 SINGLE_EDGE = Hypergraph.from_edges(3, 4, [(0, 1, 2)])
 EDGELESS_33 = Hypergraph.from_edges(3, 3, [])
@@ -251,6 +253,8 @@ class TestConstruction:
             Hypergraph.from_edges(2, 3, [(1, 0), (3, 1)])  # unsorted, out of range
         with pytest.raises(ValueError):
             Hypergraph.from_edges(3, 4, [(2, 1, 2)])  # unsorted, repeated vertex
+        with pytest.raises(ValueError):
+            Hypergraph(2, 3, frozenset({(1, 0), (0, 3)}))  # the direct constructor too
 
     def test_k_larger_than_n_allowed(self):
         H = Hypergraph.from_edges(4, 2, [])
@@ -258,6 +262,55 @@ class TestConstruction:
 
     def test_complement_helper(self):
         assert complement({0, 2}, 4) == frozenset({1, 3})
+
+    def test_canonical_producers_match_validating_oracle(self):
+        """random_hypergraph, the parser and hypergraph_from_edge_index skip
+        re-canonicalization; each must equal from_edges on a shuffled copy of
+        the same edges with the vertices of every edge shuffled too."""
+        rnd = random.Random(2024)
+
+        def scramble(k, edges):
+            scrambled = [rnd.sample(e, k) for e in edges]
+            rnd.shuffle(scrambled)
+            return scrambled
+
+        def oracle(k, n, edges):
+            return Hypergraph.from_edges(k, n, scramble(k, edges))
+
+        def check(H, expected):
+            assert H == expected and hash(H) == hash(expected)
+            assert all(type(e) is tuple and list(e) == sorted(e) for e in H.edges)
+
+        cases = [(rnd.randint(1, 9), k, rnd.random()) for k in (2, 3, 4, 5) for _ in range(12)]
+        cases += [(n, k, p) for n in (1, 4, 7) for k in (2, 5) for p in (0.0, 1.0)]
+        for n, k, p in cases:
+            seed = rnd.getrandbits(32)
+            universe = list(itertools.combinations(range(n), k))
+            draws = random.Random(seed)
+            expected = oracle(k, n, [e for e in universe if draws.random() < p])
+            H = random_hypergraph(n, k, p, random.Random(seed))
+            check(H, expected)
+            check(parse_hypergraph(serialize_hypergraph(H)), expected)
+            lines = [f"{k} {n}"] + [" ".join(map(str, e)) for e in scramble(k, H.edges)]
+            check(parse_hypergraph("\n".join(lines)), expected)
+            top = (1 << len(universe)) - 1
+            for index in (0, top, rnd.randint(0, top)):
+                edges = [e for j, e in enumerate(universe) if index >> j & 1]
+                check(hypergraph_from_edge_index(n, k, index), oracle(k, n, edges))
+
+    def test_canonical_producers_still_reject_bad_shapes(self):
+        for n, k in ((3, 1), (3, 0), (0, 2), (-1, 2)):
+            with pytest.raises(ValueError):
+                random_hypergraph(n, k, 0.5, random.Random(0))
+            with pytest.raises(ValueError):
+                parse_hypergraph(f"{k} {n}\n")
+            with pytest.raises(ValueError):
+                hypergraph_from_edge_index(n, k, 0)
+        for n, k in ((4, 2), (5, 3)):
+            with pytest.raises(ValueError):
+                hypergraph_from_edge_index(n, k, -1)
+            with pytest.raises(ValueError):
+                hypergraph_from_edge_index(n, k, 1 << math.comb(n, k))
 
     def test_random_hypergraph_is_valid(self):
         rng = random.Random(0)

@@ -29,10 +29,13 @@ from .hypergraphs import (
     brute_force_maximal_cliques,
     clique_spectrum,
     complement,
+    count_distinct_sizes,
     enumerate_maximal_cliques,
+    link_map,
     parse_hypergraph,
     random_hypergraph,
     serialize_hypergraph,
+    toggle_edge,
 )
 from .layered import (
     LayeredParams,

@@ -10,8 +10,10 @@ smallest witnessing index.  On 2 CPUs with Python 3.11 all 2^21 graphs of
 (7, 2) take about 0.04 s, the 2^20 of (6, 3) 0.03 s, and the 2^28 of (8, 2)
 about 9 s in 64 shards.  Index ranges shard trivially and merge by one rule;
 a checkpoint file, validated when read back, makes long scans resumable.
-Hill climbing over single edge flips, each neighbor evaluated by
-enumeration, provides lower-bound witnesses past exhaustive reach.
+Hill climbing over single edge flips provides lower-bound witnesses past
+exhaustive reach.  It keeps one link map per restart, toggles each flipped
+edge in and out of it, and counts each neighbor with the engine's sizes-only
+mode (`count_distinct_sizes`); only the reported witness is enumerated.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .hypergraphs import Hypergraph, clique_spectrum
+from .hypergraphs import Hypergraph, clique_spectrum, count_distinct_sizes, link_map, toggle_edge
 
 MAX_UNSHARDED_BITS = 22  # refuse unsharded scans past 2^22 edge sets
 
@@ -245,11 +247,14 @@ def exhaustive_g(n: int, k: int) -> Tuple[int, Hypergraph]:
 
 
 def _checked_witness(n: int, k: int, best: int, index: int) -> Hypergraph:
-    """The graph at index, after enumeration confirms the scan's count for it."""
+    """The graph at index, after full enumeration confirms the search's count for it.
+
+    Ties the scan's DP and the climb's sizes-only count to the listing engine.
+    """
     witness = hypergraph_from_edge_index(n, k, index)
-    checked = clique_spectrum(witness).distinct_sizes  # ties the scan's DP to the engine
+    checked = clique_spectrum(witness).distinct_sizes
     if checked != best:
-        raise RuntimeError(f"scan counts {best} sizes at index {index}, enumeration {checked}")
+        raise RuntimeError(f"search counted {best} sizes at index {index}, enumeration {checked}")
     return witness
 
 
@@ -444,19 +449,23 @@ def hill_climb_g(
 
     Deterministic for a fixed seed (one Mersenne Twister stream drives starts
     and flip orders).  iters counts objective evaluations of flipped
-    neighbors; iters=0 reports the start graph of the first restart.
+    neighbors; iters=0 reports the start graph of the first restart.  Each
+    restart builds one link map and keeps it across flips: a neighbor is
+    toggled in, counted by the engine's sizes-only mode and toggled back
+    unless it improves.  The reported witness is re-checked by full
+    enumeration, so a counting bug raises RuntimeError instead of printing.
     """
     rng = random.Random(seed)
     bits = math.comb(n, k)
-
-    def evaluate(index):
-        return clique_spectrum(hypergraph_from_edge_index(n, k, index)).distinct_sizes
+    edge_masks = [sum(1 << v for v in e) for e in edge_universe(n, k)]
 
     best = -1
     best_index = -1
     for _ in range(max(1, restarts)):
         mask = rng.getrandbits(bits) if bits else 0
-        current = evaluate(mask)
+        # character j of the reversed binary string is bit j of mask
+        link = link_map(m for m, bit in zip(edge_masks, reversed(bin(mask))) if bit == "1")
+        current = count_distinct_sizes(link, k, n)
         if current > best:
             best, best_index = current, mask
         spent = 0
@@ -466,15 +475,16 @@ def hill_climb_g(
             for e in rng.sample(range(bits), bits):
                 if spent >= iters:
                     break
-                flipped = mask ^ (1 << e)
-                value = evaluate(flipped)
+                toggle_edge(link, edge_masks[e])
+                value = count_distinct_sizes(link, k, n)
                 spent += 1
                 if value > current:
-                    mask, current = flipped, value
+                    mask, current = mask ^ (1 << e), value
                     improved = True
                     break
+                toggle_edge(link, edge_masks[e])
         if current > best:
             best, best_index = current, mask
     if best > n:
         raise RuntimeError(f"hill climb reported {best} distinct sizes on {n} vertices")
-    return best, hypergraph_from_edge_index(n, k, best_index)
+    return best, _checked_witness(n, k, best, best_index)

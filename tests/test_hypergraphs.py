@@ -12,10 +12,13 @@ from cliquespectra.hypergraphs import (
     brute_force_maximal_cliques,
     clique_spectrum,
     complement,
+    count_distinct_sizes,
     enumerate_maximal_cliques,
+    link_map,
     parse_hypergraph,
     random_hypergraph,
     serialize_hypergraph,
+    toggle_edge,
 )
 from cliquespectra.search import hypergraph_from_edge_index
 
@@ -164,6 +167,48 @@ class TestSpectrum:
         for size, witness in report.witnesses.items():
             assert len(witness) == size
             assert H.is_maximal_clique(witness)
+
+
+def edge_masks(H):
+    return [sum(1 << v for v in e) for e in H.edges]
+
+
+class TestSizeCount:
+    """The engine's sizes-only mode against listing and the brute-force oracle."""
+
+    def test_matches_spectrum_and_brute_force(self):
+        rng = random.Random(11)
+        cases = [Hypergraph.from_edges(k, n, []) for k in (2, 3, 4, 5) for n in (1, k, 8)]
+        cases += [complete_graph(k, n) for k in (2, 3, 4, 5) for n in (k, 9)]
+        for _ in range(160):
+            k = rng.randint(2, 5)
+            cases.append(random_hypergraph(rng.randint(1, 11), k, rng.random(), rng))
+        for H in cases:
+            count = count_distinct_sizes(link_map(edge_masks(H)), H.k, H.n)
+            assert count == clique_spectrum(H).distinct_sizes
+            assert count == len({len(c) for c in brute_force_maximal_cliques(H)})
+
+    @pytest.mark.parametrize("n, k", [(20, 2), (28, 2), (14, 3), (11, 4)])
+    def test_matches_spectrum_past_brute_force(self, n, k):
+        rng = random.Random(n * k)
+        for p in (0.2, 0.5, 0.8):
+            H = random_hypergraph(n, k, p, rng)
+            count = count_distinct_sizes(link_map(edge_masks(H)), k, n)
+            assert count == clique_spectrum(H).distinct_sizes
+
+    @pytest.mark.parametrize("n, k", [(9, 2), (8, 3), (7, 4), (7, 5)])
+    def test_toggled_link_map_matches_a_rebuilt_one(self, n, k):
+        rng = random.Random(n + 10 * k)
+        universe = list(itertools.combinations(range(n), k))
+        edges = {e for e in universe if rng.random() < 0.5}
+        link = link_map(edge_masks(Hypergraph.from_edges(k, n, edges)))
+        for _ in range(150):
+            e = rng.choice(universe)
+            toggle_edge(link, sum(1 << v for v in e))
+            edges ^= {e}
+            H = Hypergraph.from_edges(k, n, edges)
+            assert {s: m for s, m in link.items() if m} == link_map(edge_masks(H))
+            assert count_distinct_sizes(link, k, n) == clique_spectrum(H).distinct_sizes
 
 
 class TestStructuralProperties:

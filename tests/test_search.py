@@ -26,6 +26,13 @@ from cliquespectra.search import (
 )
 
 
+def run_optimized(script):
+    """Run script under python -O (asserts stripped) against this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestEdgeIndexing:
     def test_round_trip(self):
         rng = random.Random(0)
@@ -141,9 +148,7 @@ class TestExhaustive:
             "    sys.exit(0)\n"
             "sys.exit(1)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = run_optimized(script)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "enumeration" in proc.stdout
 
@@ -293,3 +298,33 @@ class TestHillClimb:
     def test_value_is_the_brute_force_count_of_the_witness(self, n):
         best, witness = hill_climb_g(n, 2, iters=60, seed=n)
         assert best == len({len(c) for c in brute_force_maximal_cliques(witness)})
+
+    @pytest.mark.parametrize("n, k, seed, value, index", [
+        (12, 3, 1, 3, 429790463341409506232571742761946985618254286095562267080457040373),
+        (20, 2, 1, 5, 99031989276513715144215640778606478874041262853717340661),
+        (10, 4, 2, 3, 139653534295934710924697600389473405595085181658303137427925363),
+    ])
+    def test_pins_the_climb_path(self, n, k, seed, value, index):
+        # taken from the climb that enumerated every neighbor in full
+        best, witness = hill_climb_g(n, k, 90, seed, 1)
+        assert (best, edge_index_of(witness)) == (value, index)
+
+    def test_witness_recheck_survives_optimized_mode(self):
+        # A neighbor count one size too high must be caught by the re-check
+        # of the reported witness, even under python -O.
+        script = (
+            "import sys\n"
+            "from cliquespectra import search\n"
+            "assert False, 'asserts are live'\n"
+            "real = search.count_distinct_sizes\n"
+            "search.count_distinct_sizes = lambda link, k, n: real(link, k, n) + 1\n"
+            "try:\n"
+            "    search.hill_climb_g(8, 2, 40, 1)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        proc = run_optimized(script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "enumeration" in proc.stdout

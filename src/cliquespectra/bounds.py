@@ -194,21 +194,6 @@ class TowerInt:
             return _bound_str(self.lower)
         return f"[{_bound_str(self.lower)}, {_bound_str(self.upper)}]"
 
-    def to_json(self) -> dict:
-        """Deterministic JSON-friendly rendering."""
-        if self.is_exact:
-            v = self.lower
-            out = {"kind": "exact", "bits": v.bit_length()}
-            if v.bit_length() <= 4096:
-                out["value"] = str(v)
-            return out
-        return {
-            "kind": "tower",
-            "lower": _bound_str(self.lower),
-            "upper": _bound_str(self.upper),
-            "height": self.height,
-        }
-
     def __str__(self) -> str:
         return self.describe()
 

@@ -7,12 +7,9 @@ canonical sorted k-tuples so membership tests are single hash lookups.
 Enumeration works on int bitmasks (bit v for vertex v) and converts its
 results back to frozensets.
 
-One Bron-Kerbosch recursion runs over a link map (``link_map``) in two
-modes.  ``enumerate_maximal_cliques`` (behind ``clique_spectrum``, hence the
-CLI, extraction and every witness re-check) lists the cliques;
-``count_distinct_sizes`` only counts their sizes and prunes branches whose
-reachable sizes are all seen.  The hill climb keeps one link map across edge
-flips (``toggle_edge``) and counts each neighbor that way.
+One Bron-Kerbosch recursion over a link map (``link_map``) lists the maximal
+cliques: ``enumerate_maximal_cliques``, behind ``clique_spectrum`` and hence
+the CLI, extraction and every witness re-check of the search.
 
 Each edge set is validated once.  ``Hypergraph(k, n, edges)`` and
 ``Hypergraph.from_edges`` canonicalize and check untrusted edges; the parser
@@ -156,40 +153,22 @@ def link_map(edge_masks: Iterable[int]) -> dict:
     return link
 
 
-def toggle_edge(link: dict, edge_mask: int) -> None:
-    """Add the edge to the link map if absent, remove it if present."""
-    rest = edge_mask
-    while rest:
-        v = rest & -rest
-        rest ^= v
-        link[edge_mask ^ v] = link.get(edge_mask ^ v, 0) ^ v
-
-
-def _bron_kerbosch(link: dict, k: int, n: int, sizes_only: bool):
-    """The clique engine: base tuples of all maximal cliques, or, when
-    sizes_only, the mask of their sizes (bit s for size s).
+def _bron_kerbosch(link: dict, k: int, n: int) -> List[Tuple[int, ...]]:
+    """The clique engine: the base tuples of all maximal cliques.
 
     Bron-Kerbosch over int vertex bitmasks.  The state is (base R, candidates
     P, excluded X), where P and X partition the extenders of R; R+{v} keeps
     the u with R+{v,u} complete, i.e. u in link[T|v] for every (k-2)-subset T
     of R.  Tomita pivoting is sound only in the pairwise case, so it is
-    enabled for k == 2 alone.  Every maximal clique still to come below
-    (R, P, X) has a size in [|R|+1, |R|+|P|] (Tomita, Tanaka & Takahashi,
-    TCS 363, 2006), so sizes_only leaves a branch once all of those sizes
-    have been seen.
+    enabled for k == 2 alone.
     """
     found: List[Tuple[int, ...]] = []
-    seen = 0
 
     def expand(base: Tuple[int, ...], subsets: List[list], cand: int, excl: int):
         # subsets[j]: masks of the j-subsets of base, for j = 0..k-2
-        nonlocal seen
         if not cand:
             if not excl:
-                if sizes_only:
-                    seen |= 1 << len(base)
-                else:
-                    found.append(base)
+                found.append(base)
             return
         order = cand
         if k == 2:
@@ -203,8 +182,6 @@ def _bron_kerbosch(link: dict, k: int, n: int, sizes_only: bool):
                     most, pivot = count, u
             order = cand & ~link.get(pivot, 0)
         while order:
-            if sizes_only and not ((1 << cand.bit_count()) - 1) << (len(base) + 1) & ~seen:
-                return
             v = order & -order
             order ^= v
             if k == 2:
@@ -224,20 +201,14 @@ def _bron_kerbosch(link: dict, k: int, n: int, sizes_only: bool):
             excl |= v
 
     expand((), [[0]] + [[] for _ in range(k - 2)], (1 << n) - 1, 0)
-    return seen if sizes_only else found
+    return found
 
 
 def enumerate_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
     """All maximal cliques, each once, ordered lexicographically."""
     link = link_map(sum(1 << v for v in edge) for edge in H.edges)
-    bases = sorted(sorted(base) for base in _bron_kerbosch(link, H.k, H.n, False))
+    bases = sorted(sorted(base) for base in _bron_kerbosch(link, H.k, H.n))
     return [frozenset(base) for base in bases]
-
-
-def count_distinct_sizes(link: dict, k: int, n: int) -> int:
-    """Number of distinct maximal-clique sizes of the k-graph on n vertices
-    whose link map is link; the engine's sizes-only mode, nothing listed."""
-    return _bron_kerbosch(link, k, n, True).bit_count()
 
 
 def brute_force_maximal_cliques(H: Hypergraph) -> List[VertexSet]:

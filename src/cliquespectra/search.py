@@ -10,10 +10,10 @@ smallest witnessing index.  On 2 CPUs with Python 3.11 all 2^21 graphs of
 (7, 2) take about 0.04 s, the 2^20 of (6, 3) 0.03 s, and the 2^28 of (8, 2)
 about 9 s in 64 shards.  Index ranges shard trivially and merge by one rule;
 a checkpoint file, validated when read back, makes long scans resumable.
-Hill climbing over single edge flips provides lower-bound witnesses past
-exhaustive reach.  It keeps one link map per restart, toggles each flipped
-edge in and out of it, and counts each neighbor with the engine's sizes-only
-mode (`count_distinct_sizes`); only the reported witness is enumerated.
+Past exhaustive reach, a seeded local search over families of vertex sets
+with distinct sizes gives lower-bound witnesses: a family whose members are
+all maximal in the k-graph of their k-subsets certifies itself by a
+polynomial check, and only the reported witness is enumerated.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .hypergraphs import Hypergraph, clique_spectrum, count_distinct_sizes, link_map, toggle_edge
+from .hypergraphs import Hypergraph, clique_spectrum
 
 MAX_UNSHARDED_BITS = 22  # refuse unsharded scans past 2^22 edge sets
 
@@ -249,7 +249,7 @@ def exhaustive_g(n: int, k: int) -> Tuple[int, Hypergraph]:
 def _checked_witness(n: int, k: int, best: int, index: int) -> Hypergraph:
     """The graph at index, after full enumeration confirms the search's count for it.
 
-    Ties the scan's DP and the climb's sizes-only count to the listing engine.
+    Ties the scan's DP to the listing engine.
     """
     witness = hypergraph_from_edge_index(n, k, index)
     checked = clique_spectrum(witness).distinct_sizes
@@ -438,6 +438,41 @@ def check_moon_moser(n: int, g_value: int) -> MoonMoserReport:
     return MoonMoserReport(n, g_value, upper, g_value <= upper, lower, lower_ok)
 
 
+DROP_ODDS = 50  # a drop, the one move that loses a member, is kept once in 50
+
+
+def _member(mask: int, k: int) -> Tuple[int, List[int]]:
+    """A family member: its vertex mask and the masks of its (k-1)-subsets."""
+    bits = [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
+    return mask, [sum(t) for t in itertools.combinations(bits, k - 1)]
+
+
+def _all_maximal(members: Sequence[Tuple[int, List[int]]], n: int) -> bool:
+    """True iff every member (see _member) is a maximal clique of K(F), the
+    k-graph on n vertices whose edges are the k-subsets of the members.
+
+    link[T] is the union of X - T over the members X containing the (k-1)-set
+    T, so v is in link[T] iff T + v is an edge, and X is maximal iff no v
+    outside X is in link[T] for all of X's (k-1)-subsets T.  Below size k - 1,
+    X has none and is maximal only as the whole vertex set.  No clique is
+    listed: the cost is twice sum C(|X|, k-1) mask operations.
+    """
+    link: dict = {}
+    for x, subsets in members:
+        for t in subsets:
+            link[t] = link.get(t, 0) | x ^ t
+    full = (1 << n) - 1
+    for x, subsets in members:
+        outside = full & ~x
+        for t in subsets:
+            outside &= link[t]
+            if not outside:
+                break
+        if outside:
+            return False
+    return True
+
+
 def hill_climb_g(
     n: int,
     k: int,
@@ -445,46 +480,53 @@ def hill_climb_g(
     seed: int,
     restarts: int = 1,
 ) -> Tuple[int, Hypergraph]:
-    """First-improvement hill climbing over single edge flips.
+    """Seeded local search over families F of vertex sets of distinct sizes.
 
-    Deterministic for a fixed seed (one Mersenne Twister stream drives starts
-    and flip orders).  iters counts objective evaluations of flipped
-    neighbors; iters=0 reports the start graph of the first restart.  Each
-    restart builds one link map and keeps it across flips: a neighbor is
-    toggled in, counted by the engine's sizes-only mode and toggled back
-    unless it improves.  The reported witness is re-checked by full
-    enumeration, so a counting bug raises RuntimeError instead of printing.
+    g(n,k) is the largest F whose members are all maximal in K(F): if H has t
+    distinct sizes, pick one maximal clique of H per size; each is complete
+    in K(F), a subgraph of H, and a vertex extending it there would extend it
+    in H.  Conversely, if every member is maximal, K(F) has >= |F| sizes.
+
+    Each restart starts from the empty family.  A move adds a random set of a
+    random size in [k-1, n], toggles one vertex of a member, or drops one.  It
+    is kept when the sizes stay distinct, _all_maximal holds and F does not
+    shrink; a drop, which only removes edges and so needs no check, is kept
+    once in DROP_ODDS.  iters counts feasibility checks; iters=0 reports the
+    empty family, whose K(F) is edgeless.  The largest F's K(F) is enumerated
+    once, and RuntimeError is raised unless its count lies in [|F|, n].
     """
     rng = random.Random(seed)
-    bits = math.comb(n, k)
-    edge_masks = [sum(1 << v for v in e) for e in edge_universe(n, k)]
-
-    best = -1
-    best_index = -1
+    best: List[Tuple[int, List[int]]] = []
     for _ in range(max(1, restarts)):
-        mask = rng.getrandbits(bits) if bits else 0
-        # character j of the reversed binary string is bit j of mask
-        link = link_map(m for m, bit in zip(edge_masks, reversed(bin(mask))) if bit == "1")
-        current = count_distinct_sizes(link, k, n)
-        if current > best:
-            best, best_index = current, mask
+        family: List[Tuple[int, List[int]]] = []
         spent = 0
-        improved = True
-        while improved and spent < iters:
-            improved = False
-            for e in rng.sample(range(bits), bits):
-                if spent >= iters:
-                    break
-                toggle_edge(link, edge_masks[e])
-                value = count_distinct_sizes(link, k, n)
-                spent += 1
-                if value > current:
-                    mask, current = mask ^ (1 << e), value
-                    improved = True
-                    break
-                toggle_edge(link, edge_masks[e])
-        if current > best:
-            best, best_index = current, mask
-    if best > n:
-        raise RuntimeError(f"hill climb reported {best} distinct sizes on {n} vertices")
-    return best, _checked_witness(n, k, best, best_index)
+        while spent < iters and k - 1 <= n:  # below k - 1 vertices no size can be added
+            move = rng.randrange(3)
+            rest = family[:]
+            if move == 0:
+                x = sum(1 << v for v in rng.sample(range(n), rng.randint(k - 1, n)))
+            elif not family:
+                continue
+            else:
+                y = rest.pop(rng.randrange(len(rest)))[0]
+                if move == 2:
+                    if rng.randrange(DROP_ODDS) == 0:
+                        family = rest
+                    continue
+                x = y ^ 1 << rng.randrange(n)
+            if x.bit_count() in {m.bit_count() for m, _ in rest}:
+                continue
+            spent += 1
+            trial = rest + [_member(x, k)]
+            if _all_maximal(trial, n):
+                family = trial
+                if len(family) > len(best):
+                    best = family
+    witness = Hypergraph._canonical(k, n, {
+        e for x, _ in best for e in itertools.combinations([v for v in range(n) if x >> v & 1], k)
+    })
+    value = clique_spectrum(witness).distinct_sizes
+    if not len(best) <= value <= n:
+        raise RuntimeError(f"climb kept {len(best)} maximal members of distinct sizes on {n} "
+                           f"vertices, enumeration counts {value} sizes")
+    return value, witness

@@ -157,6 +157,14 @@ class TestSearchCommand:
         assert run(args) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("iters", [0, 50])
+    def test_hillclimb_below_and_at_k_minus_one_vertices(self, n, iters, capsys):
+        # n = 1 leaves no size in [k-1, n] to add; n = 2 only the whole vertex set
+        assert run(["search-g", "--n", str(n), "--k", "3", "--hillclimb",
+                    "--iters", str(iters), "--seed", "1"]) == 0
+        assert "hill climb best: 1 distinct sizes" in capsys.readouterr().out
+
     def test_oversized_space_is_refused(self, capsys):
         assert run(["search-g", "--n", "8", "--k", "2", "--exhaustive"]) == 2
 

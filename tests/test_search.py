@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from cliquespectra.hypergraphs import brute_force_maximal_cliques, clique_spectrum
+from cliquespectra.hypergraphs import Hypergraph, brute_force_maximal_cliques, clique_spectrum
 from cliquespectra.search import (
     SpectrumScanner,
+    _all_maximal,
+    _member,
     check_moon_moser,
     edge_index_of,
     edge_universe,
@@ -274,6 +277,31 @@ class TestMoonMoser:
         assert report.lower_ok
 
 
+class TestFamilyCheck:
+    """The climb's feasibility check against the brute-force maximal cliques of K(F)."""
+
+    def test_matches_brute_force_on_random_families(self):
+        rng = random.Random(23)
+        verdicts, edge_cases = set(), set()
+        for _ in range(400):
+            n, k = rng.randint(1, 8), rng.randint(2, 4)
+            sizes = rng.sample(range(n + 1), rng.randint(1, min(4, n + 1)))
+            family = [sum(1 << v for v in rng.sample(range(n), size)) for size in sizes]
+            K = Hypergraph.from_edges(k, n, {
+                e for x in family
+                for e in itertools.combinations([v for v in range(n) if x >> v & 1], k)
+            })
+            maximal = {sum(1 << v for v in c) for c in brute_force_maximal_cliques(K)}
+            expected = all(x in maximal for x in family)
+            assert _all_maximal([_member(x, k) for x in family], n) == expected, (n, k, family)
+            verdicts.add((expected, any(x in maximal for x in family)))
+            edge_cases.update(("below k-1" if size < k - 1 else "k-1" if size == k - 1 else
+                               "full" if size == n else "other") for size in sizes)
+        # all maximal, some but not all, none; every kind of member size
+        assert verdicts == {(True, True), (False, True), (False, False)}
+        assert edge_cases == {"below k-1", "k-1", "full", "other"}
+
+
 class TestHillClimb:
     def test_never_beats_exhaustive(self):
         for n, k in [(4, 3), (4, 2), (5, 3)]:
@@ -282,8 +310,10 @@ class TestHillClimb:
             assert best <= exact
 
     def test_zero_iterations_reports_the_start(self):
+        # the empty family, whose K(F) is edgeless: one size, the (k-1)-sets
         best, witness = hill_climb_g(4, 3, iters=0, seed=9)
-        assert best == clique_spectrum(witness).distinct_sizes
+        assert best == clique_spectrum(witness).distinct_sizes == 1
+        assert witness.edges == frozenset()
 
     def test_deterministic_for_fixed_seed(self):
         a = hill_climb_g(5, 2, iters=120, seed=77, restarts=2)
@@ -300,24 +330,23 @@ class TestHillClimb:
         assert best == len({len(c) for c in brute_force_maximal_cliques(witness)})
 
     @pytest.mark.parametrize("n, k, seed, value, index", [
-        (12, 3, 1, 3, 429790463341409506232571742761946985618254286095562267080457040373),
-        (20, 2, 1, 5, 99031989276513715144215640778606478874041262853717340661),
-        (10, 4, 2, 3, 139653534295934710924697600389473405595085181658303137427925363),
-    ])
+        (12, 3, 1, 7, 847288768462277766045217442030025485809118068301774912043715853695),
+        (20, 2, 1, 4, 1456565175864526932557612479306168568849770811966038736767),
+        (10, 4, 2, 6, 38880692164083734774613729492000415048153966494049870636612587),
+    ], ids=["12-3-1", "20-2-1", "10-4-2"])
     def test_pins_the_climb_path(self, n, k, seed, value, index):
-        # taken from the climb that enumerated every neighbor in full
+        # taken from the family climber; a change to its moves or draws moves these
         best, witness = hill_climb_g(n, k, 90, seed, 1)
         assert (best, edge_index_of(witness)) == (value, index)
 
     def test_witness_recheck_survives_optimized_mode(self):
-        # A neighbor count one size too high must be caught by the re-check
-        # of the reported witness, even under python -O.
+        # A feasibility check that accepts every family must be caught by the
+        # enumeration of the reported witness, even under python -O.
         script = (
             "import sys\n"
             "from cliquespectra import search\n"
             "assert False, 'asserts are live'\n"
-            "real = search.count_distinct_sizes\n"
-            "search.count_distinct_sizes = lambda link, k, n: real(link, k, n) + 1\n"
+            "search._all_maximal = lambda members, n: True\n"
             "try:\n"
             "    search.hill_climb_g(8, 2, 40, 1)\n"
             "except RuntimeError as exc:\n"

@@ -1,10 +1,12 @@
 """Tower arithmetic and quantitative bounds.
 
 Natural numbers are kept exact (arbitrary precision) while they fit under a
-configurable bit cap; past the cap they escalate to certified enclosures whose
-endpoints are power towers 2^2^...^top.  Every operation preserves
-``lower <= true value <= upper``, and comparisons are three-valued: they answer
-only when the enclosures certify an order (otherwise ``None``).
+configurable bit cap; past the cap they escalate to certified enclosures.
+Each end of an enclosure is one shape, a pair (height, top) standing for the
+power tower 2^2^...^top with `height` twos, so height 0 is the exact value
+`top`.  Every operation preserves ``lower <= true value <= upper``, and
+comparisons are three-valued: they answer only when the enclosures certify an
+order (otherwise ``None``).
 
 The module also hosts the iterated-logarithm helpers (log2 applied i times,
 log-star) and the recursive upper bound on the size of depth/degree-budgeted
@@ -14,24 +16,26 @@ ordered trees, with its two published budget variants.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple
 
 DEFAULT_BIT_CAP = 1 << 20
 
-# A bound is either an exact nonnegative int, or a pair (height, top) standing
-# for 2^2^...^2^top with `height` twos.  Canonical towers keep height >= 1 and
-# a top too large to materialize under the bit cap they were built with.
-Bound = Union[int, tuple]
+# A bound is a pair (height, top) standing for 2^2^...^2^top with `height`
+# twos; height 0 is the exact int top.  Canonical bounds keep height 0 while
+# the value fits under the bit cap they were built with, so a tower's top is
+# too large to materialize under that cap.
+Bound = Tuple[int, int]
 
 
 def _canon(height: int, top: int, bit_cap: int) -> Bound:
-    """Collapse a (height, top) tower to an exact int while it fits the cap."""
+    """Collapse a (height, top) tower towards height 0 while it fits the cap."""
     while height > 0 and top < bit_cap:
         top = 1 << top  # top+1 bits, still within the cap
         height -= 1
-    return top if height == 0 else (height, top)
+    return (height, top)
 
 
 def _tower_vs_int(height: int, top: int, m: int) -> int:
@@ -46,69 +50,52 @@ def _tower_vs_int(height: int, top: int, m: int) -> int:
 
 
 def _bound_cmp(a: Bound, b: Bound) -> int:
-    """Exact three-way comparison of two bounds (they always compare)."""
-    if isinstance(a, int):
-        if isinstance(b, int):
-            return (a > b) - (a < b)
-        return -_tower_vs_int(b[0], b[1], a)
-    if isinstance(b, int):
-        return _tower_vs_int(a[0], a[1], b)
-    h1, t1 = a
-    h2, t2 = b
-    if h1 == h2:
-        return (t1 > t2) - (t1 < t2)
+    """Exact three-way comparison of two bounds, on their height difference."""
+    (h1, t1), (h2, t2) = a, b
     if h1 < h2:
         return -_tower_vs_int(h2 - h1, t2, t1)
     return _tower_vs_int(h1 - h2, t1, t2)
 
 
-def _bump(b: Bound) -> Bound:
-    """A bound at least twice b: doubling an int, nudging a tower's top."""
-    if isinstance(b, int):
-        return 2 * b
-    return (b[0], b[1] + 1)
-
-
 _bound_key = functools.cmp_to_key(_bound_cmp)
 
 
-def _pow2_bound(b: Bound, bit_cap: int) -> Bound:
-    if isinstance(b, int):
-        return _canon(1, b, bit_cap)
-    return (b[0] + 1, b[1])
+def _bump(b: Bound) -> Bound:
+    """A bound at least twice b: doubling an exact value, nudging a tower's top."""
+    height, top = b
+    return (height, top + 1) if height else (0, 2 * top)
 
 
-def _escalate(value: int, bit_cap: int) -> tuple:
-    """Enclose an exact int that outgrew the cap between adjacent powers of two."""
+def _enclose(value: int, bit_cap: int) -> Tuple[Bound, Bound]:
+    """An exact int while it fits the cap, else the adjacent powers of two around it."""
+    if value.bit_length() <= bit_cap:
+        return (0, value), (0, value)
     floor_exp = value.bit_length() - 1
     lo = _canon(1, floor_exp, bit_cap)
     if value & (value - 1) == 0:
-        return (lo, lo)
-    return (lo, _canon(1, floor_exp + 1, bit_cap))
+        return lo, lo
+    return lo, _canon(1, floor_exp + 1, bit_cap)
 
 
 def _bound_str(b: Bound) -> str:
-    if isinstance(b, int):
-        if b.bit_length() <= 64:
-            return str(b)
-        return f"~2^{b.bit_length() - 1}"
     height, top = b
-    return "2^" * height + _bound_str(top)
+    digits = str(top) if top.bit_length() <= 64 else f"~2^{top.bit_length() - 1}"
+    return "2^" * height + digits
 
 
 @dataclass(frozen=True)
 class TowerInt:
-    """Exact-or-enclosed natural number.
+    """Exact-or-enclosed natural number between two (height, top) bounds.
 
-    ``lower == upper`` as ints means the value is exact.  Tower endpoints with
-    ``lower == upper`` certify the value without materializing it.
+    ``lower == upper`` at height 0 means the value is exact.  Tower endpoints
+    with ``lower == upper`` certify the value without materializing it.
     """
 
     lower: Bound
     upper: Bound
 
     def __post_init__(self):
-        if isinstance(self.lower, int) and self.lower < 0:
+        if self.lower[1] < 0:
             raise ValueError("TowerInt values are nonnegative")
         if _bound_cmp(self.lower, self.upper) > 0:
             raise ValueError("enclosure lower bound exceeds upper bound")
@@ -117,11 +104,11 @@ class TowerInt:
     def from_int(cls, value: int) -> "TowerInt":
         if not isinstance(value, int) or value < 0:
             raise ValueError("expected a nonnegative integer")
-        return cls(value, value)
+        return cls((0, value), (0, value))
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.lower, int) and self.lower == self.upper
+        return self.lower[0] == 0 and self.lower == self.upper
 
     @property
     def is_point(self) -> bool:
@@ -131,12 +118,12 @@ class TowerInt:
     @property
     def height(self) -> int:
         """Tower height of the upper bound (0 for exact values)."""
-        return 0 if isinstance(self.upper, int) else self.upper[0]
+        return self.upper[0]
 
     def to_int(self) -> int:
         if not self.is_exact:
             raise ValueError(f"not an exact value: {self.describe()}")
-        return self.lower
+        return self.lower[1]
 
     def cmp(self, other: "TowerInt | int") -> Optional[int]:
         """-1/0/1 when certified, None when the enclosures overlap."""
@@ -163,24 +150,22 @@ class TowerInt:
 
     def add(self, other: "TowerInt | int", bit_cap: int = DEFAULT_BIT_CAP) -> "TowerInt":
         other = as_tower(other)
+        (h1, t1), (h2, t2) = self.lower, other.lower
         if self.is_exact and other.is_exact:
-            s = self.lower + other.lower
-            if s.bit_length() <= bit_cap:
-                return TowerInt(s, s)
-            return TowerInt(*_escalate(s, bit_cap))
-        if isinstance(self.lower, int) and isinstance(other.lower, int):
-            low = self.lower + other.lower
-            lo = low if low.bit_length() <= bit_cap else _escalate(low, bit_cap)[0]
+            return TowerInt(*_enclose(t1 + t2, bit_cap))
+        if h1 == h2 == 0:
+            lo = _enclose(t1 + t2, bit_cap)[0]
         else:
             lo = max(self.lower, other.lower, key=_bound_key)
         hi = _bump(max(self.upper, other.upper, key=_bound_key))
-        if isinstance(hi, int) and hi.bit_length() > bit_cap:
-            hi = _escalate(hi, bit_cap)[1]
+        if hi[0] == 0:
+            hi = _enclose(hi[1], bit_cap)[1]
         return TowerInt(lo, hi)
 
     def pow2(self, bit_cap: int = DEFAULT_BIT_CAP) -> "TowerInt":
         """2 raised to this value, exact while it fits under the cap."""
-        return TowerInt(_pow2_bound(self.lower, bit_cap), _pow2_bound(self.upper, bit_cap))
+        (h1, t1), (h2, t2) = self.lower, self.upper
+        return TowerInt(_canon(h1 + 1, t1, bit_cap), _canon(h2 + 1, t2, bit_cap))
 
     def __add__(self, other):
         return self.add(other)
@@ -188,8 +173,6 @@ class TowerInt:
     __radd__ = __add__
 
     def describe(self) -> str:
-        if self.is_exact:
-            return _bound_str(self.lower)
         if self.is_point:
             return _bound_str(self.lower)
         return f"[{_bound_str(self.lower)}, {_bound_str(self.upper)}]"
@@ -264,8 +247,6 @@ def _log_star_number(x) -> int:
 
 
 def _log_star_bound(b: Bound) -> int:
-    if isinstance(b, int):
-        return _log_star_number(b)
     height, top = b
     # Every level of the tower is an exact power of two: peel them off exactly.
     return height + _log_star_number(top)
@@ -293,15 +274,12 @@ def iterated_log(x: "TowerInt | int", iterations: int) -> IterLogResult:
     if isinstance(x, TowerInt):
         if not x.is_point:
             raise ValueError("iterated_log needs an exact or point value")
-        b = x.lower
-        height, cur = (0, b) if isinstance(b, int) else b
+        height, cur = x.lower
     else:
         height, cur = 0, x
-    steps = iterations
-    while steps > 0 and height > 0:
-        height -= 1
-        steps -= 1
-    for _ in range(steps):
+    peeled = min(iterations, height)  # each tower level logs away exactly
+    height -= peeled
+    for _ in range(iterations - peeled):
         cur = _one_log(cur)
     if height > 0 or (isinstance(cur, int) and cur.bit_length() > 1020):
         raise ValueError("result too large for a real-valued representation")
@@ -356,20 +334,14 @@ def min_slack_for(n: "TowerInt | int", bit_cap: int = DEFAULT_BIT_CAP) -> int:
     so astronomically large terms are never materialized.
     """
     target = as_tower(n)
-    if _bound_cmp(target.lower, 1) < 0:
+    if _bound_cmp(target.lower, (0, 1)) < 0:
         raise ValueError("n must be >= 1")
-    offset = 0
-    while True:
+    for offset in itertools.count():
         s = TowerInt.from_int(1)
-        satisfied = False
         for _ in range(1 << offset):
             s = s.add(offset, bit_cap).pow2(bit_cap).add(s, bit_cap)
             if s.add(offset, bit_cap).certainly_ge(target):
-                satisfied = True
-                break
-        if satisfied:
-            return offset
-        offset += 1
+                return offset
 
 
 VARIANTS = ("claim23", "claim24")
@@ -401,22 +373,19 @@ def tree_size_bound(
     offset_t = as_tower(offset)
     if depth == 1:
         return offset_t.pow2(bit_cap).add(1, bit_cap)
-    if not offset_t.is_exact or offset_t.to_int() >= max_rounds.bit_length():
+    # c < bit_length(max_rounds) iff 2^c <= max_rounds; a negative cap fits no round
+    if not offset_t.is_exact or offset_t.to_int() >= max(max_rounds, 0).bit_length():
+        need = offset_t.describe() if offset_t.is_exact else f"(a tower of height {offset_t.height})"
         raise ValueError(
             "size bound recursion is not materializable: it would need "
-            f"2^{offset_t.describe()} refinement rounds (cap {max_rounds})"
+            f"2^{need} refinement rounds (cap {max_rounds})"
         )
     c = offset_t.to_int()
-    rounds = 1 << c
-    if rounds > max_rounds:
-        raise ValueError(
-            f"size bound recursion needs {rounds} refinement rounds (cap {max_rounds})"
-        )
     pow2c = 1 << c
     budget = TowerInt.from_int(2 * pow2c)  # first root child sits at position 1
     budget_sum = TowerInt.from_int(0)
     inner_bound = None
-    for _ in range(rounds):
+    for _ in range(pow2c):
         budget_sum = budget_sum.add(budget, bit_cap)
         inner_offset = budget_sum.add(pow2c + c, bit_cap)
         if variant == "claim24":

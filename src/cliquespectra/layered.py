@@ -174,7 +174,7 @@ def max_layered_size(params: LayeredParams, bit_cap: int = DEFAULT_BIT_CAP) -> M
     get the recursive upper bound, flagged as such.
     """
     if params.depth == 1:
-        return MaxTreeSize(TowerInt.from_int(params.offset).pow2(bit_cap).add(1, bit_cap), "exact")
+        return MaxTreeSize(tree_size_bound(1, params.offset, "claim23", bit_cap), "exact")
     if params.depth == 2:
         if params.offset > 20:
             raise ValueError(f"depth-2 maximum needs 2^{params.offset} recurrence steps")

@@ -59,6 +59,11 @@ def edge_index_of(H: Hypergraph) -> int:
     return index
 
 
+def _check_scan_size(n: int) -> None:
+    if n > 16:
+        raise ValueError("bitmask scanner supports n <= 16")
+
+
 BLOCK_BITS = 15  # a scan block holds 2^15 edge sets ...
 LANE_TABLE_BITS = 24  # ... unless its 2^n subset table would pass 2^24 bits
 
@@ -80,8 +85,7 @@ class SpectrumScanner:
     """
 
     def __init__(self, n: int, k: int):
-        if n > 16:
-            raise ValueError("bitmask scanner supports n <= 16")
+        _check_scan_size(n)
         self.n = n
         self.k = k
         self.bits = math.comb(n, k)
@@ -235,12 +239,12 @@ def exhaustive_g(n: int, k: int) -> Tuple[int, Hypergraph]:
     Refuses index spaces past 2^22; scan slices with run_shard instead, then
     merge them with merge_shards.
     """
+    _check_scan_size(n)
     bits = math.comb(n, k)
     if bits > MAX_UNSHARDED_BITS:
-        needed = 1 << (bits - MAX_UNSHARDED_BITS)
         raise ValueError(
             f"2^{bits} edge sets exceed the unsharded ceiling 2^{MAX_UNSHARDED_BITS}; "
-            f"run at least {needed} shards"
+            f"run at least 2^{bits - MAX_UNSHARDED_BITS} shards"
         )
     best, index = scan_range(n, k, 0, 1 << bits)
     return best, _checked_witness(n, k, best, index)

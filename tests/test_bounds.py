@@ -53,6 +53,22 @@ class TestTowerInt:
             assert not enc.certainly_lt(exact)
             assert enc.certainly_le(2**40)
 
+    @pytest.mark.parametrize("cap, described", [
+        (2, ["1", "3", "1", "[2^2, 2^3]", "[2^2^2, 2^2^5]",
+             "1", "[2^3, 2^4]", "[2^2^3, 2^2^6]", "[2^2^2^3, 2^2^2^8]", "[2^2^2^2^3, 2^2^2^2^10]"]),
+        (3, ["1", "3", "1", "5", "[2^6, 2^7]",
+             "1", "[2^3, 2^4]", "[2^2^3, 2^2^6]", "[2^2^2^3, 2^2^2^8]", "[2^2^2^2^3, 2^2^2^2^10]"]),
+        (4, ["1", "3", "1", "5", "[2^6, 2^7]",
+             "1", "9", "[2^11, 2^12]", "[2^2^11, 2^2^14]", "[2^2^2^11, 2^2^2^16]"]),
+        (6, ["1", "3", "1", "5", "[2^6, 2^7]",
+             "1", "9", "[2^11, 2^12]", "[2^2^11, 2^2^14]", "[2^2^2^11, 2^2^2^16]"]),
+    ])
+    def test_small_cap_enclosures_render(self, cap, described):
+        # s_i for offsets 0..2 and every index up to 2^offset, in that order
+        got = [size_recurrence(o, i, bit_cap=cap).describe()
+               for o in range(3) for i in range((1 << o) + 1)]
+        assert got == described
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=0, max_value=500),
@@ -111,7 +127,7 @@ class TestIteratedLogs:
 
     def test_log_star_refuses_wide_enclosures(self):
         # enclosure straddling a log-star step cannot be certified
-        wide = TowerInt(3, (3, 20))
+        wide = TowerInt((0, 3), (3, 20))
         with pytest.raises(ValueError, match="certify"):
             log_star(wide)
 

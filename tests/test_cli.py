@@ -167,20 +167,93 @@ class TestSearchCommand:
 
     def test_oversized_space_is_refused(self, capsys):
         assert run(["search-g", "--n", "8", "--k", "2", "--exhaustive"]) == 2
+        assert "run at least 2^6 shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, k", [(17, 2), (16, 8)])
+    def test_refusals_stay_short(self, n, k, capsys):
+        assert run(["search-g", "--n", str(n), "--k", str(k)]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 200
+        if n > 16:
+            assert "n <= 16" in err
 
     def test_seed_must_fit_64_bits(self, capsys):
         assert run(["search-g", "--n", "3", "--k", "2", "--seed", str(1 << 64)]) == 2
 
 
+def _tower(height, top):
+    return "2^" * height + top
+
+
+# `bound` values as printed: exact ones as text, enclosures as their
+# (height, top) ends, every end drawn as 2^2^...^top
+_BOUND_EXACT = {
+    (1, C, variant): str((1 << C) + 1) for C in range(6) for variant in ("claim23", "claim24")
+}
+_BOUND_EXACT.update({(2, 0, "claim23"): "10", (2, 0, "claim24"): "258"})
+_BOUND_ENCLOSED = {
+    (2, 1, "claim23"): ((1, "~2^132"), (1, "~2^132")),
+    (2, 2, "claim23"): ((5, "~2^16391"), (5, "~2^16391")),
+    (2, 3, "claim23"): ((14, "134217740"), (14, "134217768")),
+    (2, 4, "claim23"): ((30, "4503599627370517"), (30, "4503599627370577")),
+    (2, 5, "claim23"): ((62, "~2^101"), (62, "~2^101")),
+    (3, 0, "claim23"): ((14, "134217740"), (14, "134217769")),
+    (2, 1, "claim24"): ((3, "~2^128"), (3, "~2^128")),
+    (2, 2, "claim24"): ((9, "~2^16384"), (9, "~2^16384")),
+    (2, 3, "claim24"): ((22, "134217728"), (22, "134217758")),
+    (2, 4, "claim24"): ((46, "4503599627370496"), (46, "4503599627370558")),
+    (2, 5, "claim24"): ((94, "~2^101"), (94, "~2^101")),
+    (3, 0, "claim24"): ((766, "~2^776"), (766, "~2^776")),
+}
+# exact offsets whose 2^offset refinement rounds pass the round cap
+_BOUND_REFUSED = {
+    (3, 3, "claim23"): "27",
+    (3, 4, "claim23"): "52",
+    (3, 5, "claim23"): "101",
+    (3, 1, "claim24"): "128",
+    (3, 2, "claim24"): "16384",
+    (3, 3, "claim24"): "134217728",
+    (3, 4, "claim24"): "4503599627370496",
+    (3, 5, "claim24"): "~2^101",
+    (4, 0, "claim23"): "27",
+    (2, 21, "claim23"): "21",
+}
+
+
+def _bound_argv(k, C, variant):
+    return ["bound", "--k", str(k), "--C", str(C), "--variant", variant]
+
+
 class TestBoundCommand:
     def test_both_variants(self, capsys):
-        assert run(["bound", "--k", "2", "--C", "0"]) == 0
-        assert "10" in capsys.readouterr().out
-        assert run(["bound", "--k", "2", "--C", "0", "--variant", "claim24"]) == 0
-        assert "258" in capsys.readouterr().out
+        printed = {key: (value, "exact") for key, value in _BOUND_EXACT.items()}
+        for key, (lower, upper) in _BOUND_ENCLOSED.items():
+            printed[key] = (f"[{_tower(*lower)}, {_tower(*upper)}]", "enclosure")
+        for (k, C, variant), (value, kind) in sorted(printed.items()):
+            assert run(_bound_argv(k, C, variant)) == 0
+            assert capsys.readouterr().out == (
+                f"size bound for ({k},{C})-budgeted trees, variant {variant}:\n"
+                f"  {value}  [{kind}]\n"
+            )
+
+    @pytest.mark.parametrize("k, C, variant", sorted(_BOUND_REFUSED))
+    def test_exact_offset_refusals(self, k, C, variant, capsys):
+        assert run(_bound_argv(k, C, variant)) == 2
+        assert capsys.readouterr().err == (
+            "error: size bound recursion is not materializable: it would need "
+            f"2^{_BOUND_REFUSED[k, C, variant]} refinement rounds (cap 1048576)\n"
+        )
 
     def test_unmaterializable_is_input_error(self, capsys):
-        assert run(["bound", "--k", "3", "--C", "1"]) == 2
+        # the offset is an enclosure here, so the refusal names its tower height
+        for C, height in ((1, 255), (2, 32767)):
+            assert run(["bound", "--k", "3", "--C", str(C)]) == 2
+            err = capsys.readouterr().err
+            assert len(err) < 200
+            assert err == (
+                "error: size bound recursion is not materializable: it would need "
+                f"2^(a tower of height {height}) refinement rounds (cap 1048576)\n"
+            )
 
     def test_unknown_variant_rejected(self, capsys):
         assert run(["bound", "--k", "2", "--C", "0", "--variant", "clam"]) == 2
@@ -196,6 +269,25 @@ class TestFstarCommand:
         assert run(["fstar", "--n", "2^2^16"]) == 0
         out = capsys.readouterr().out
         assert "log_star(n) = 6" in out
+
+    @pytest.mark.parametrize("literal, shown, log_star, slack, min_slack", [
+        ("65535", "65535", 4, "1.0", 2),
+        ("65536", "65536", 5, "1.3219280948873622", 2),
+        ("2^100", "~2^100", 5, "1.3219280948873622", 2),
+        ("2^1048575", "~2^1048575", 6, "1.584962500721156", 2),  # last exact power
+        ("2^1048576", "2^1048576", 6, "1.584962500721156", 2),  # first tower
+        ("2^2^16", "~2^65536", 6, "1.584962500721156", 2),
+        ("2^2^2^2^2^16", "2^2^2^~2^65536", 9, "2.169925001442312", 3),
+        ("2^2^2^2^2^2^2^3", "2^2^2^2^~2^256", 9, "2.169925001442312", 3),
+    ])
+    def test_exact_and_symbolic_output(self, literal, shown, log_star, slack, min_slack, capsys):
+        assert run(["fstar", "--n", literal]) == 0
+        assert capsys.readouterr().out == (
+            f"n = {shown}\n"
+            f"log_star(n) = {log_star}\n"
+            f"slack lower bound log2(log_star(n)) - 1 = {slack}\n"
+            f"min slack with n - C <= s_(2^C): {min_slack}\n"
+        )
 
     def test_junk_literal(self, capsys):
         assert run(["fstar", "--n", "3^3"]) == 2

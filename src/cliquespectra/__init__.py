@@ -52,7 +52,6 @@ from .layered import (
 from .search import (
     MoonMoserReport,
     SearchCheckpoint,
-    SearchShard,
     check_moon_moser,
     edge_index_of,
     exhaustive_g,

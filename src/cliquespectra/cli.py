@@ -187,6 +187,8 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_extract_tree(args) -> int:
+    if args.C is not None and args.C < 0:
+        raise ValueError("--C must be >= 0")
     H, digest = _load_hypergraph(args.path)
     result = extraction.extract_tree(H, args.C)
     doc = extraction.certificate_document(result, H)
@@ -240,6 +242,12 @@ def _cmd_max_tree(args) -> int:
 def _cmd_search_g(args) -> int:
     if args.n < 1 or args.k < 2:
         raise ValueError("need --n >= 1 and --k >= 2")
+    if args.iters < 0 or args.restarts < 1:
+        raise ValueError("need --iters >= 0 and --restarts >= 1")
+    if args.hillclimb and args.shards is not None:
+        raise ValueError("--hillclimb takes no --shards")
+    if args.shards is None and (args.shard is not None or args.checkpoint):
+        raise ValueError("--shard and --checkpoint need --shards")
     if args.hillclimb:
         best, witness = search.hill_climb_g(args.n, args.k, args.iters, args.seed, args.restarts)
         print(f"hill climb best: {best} distinct sizes (iters={args.iters}, "
@@ -247,18 +255,17 @@ def _cmd_search_g(args) -> int:
         print(f"witness edge index: {search.edge_index_of(witness)}")
         print(serialize_hypergraph(witness), end="")
         return 0
-    if args.shards is not None and args.shard is not None:
+    if args.shard is not None:
         ranges = search.shard_ranges(args.n, args.k, args.shards)
         if not 0 <= args.shard < len(ranges):
             raise ValueError(f"--shard must be in 0..{len(ranges) - 1}")
         lo, hi = ranges[args.shard]
+        cp = search.open_checkpoint(args.checkpoint, args.n, args.k) if args.checkpoint else None
         shard = search.run_shard(args.n, args.k, lo, hi)
-        print(f"shard {args.shard}/{args.shards} [{lo}, {hi}): best {shard.best_found}, "
+        print(f"shard {args.shard}/{args.shards} [{lo}, {hi}): best {shard.best}, "
               f"witness index {shard.witness_edge_index}")
-        if args.checkpoint:
-            cp = search.open_checkpoint(args.checkpoint, args.n, args.k)
-            if search.record_shard(cp, shard, args.checkpoint):
-                print(f"checkpoint updated: {len(cp.shards_done)}/{len(ranges)} shards done")
+        if cp is not None and search.record_shard(cp, shard, args.checkpoint):
+            print(f"checkpoint updated: {len(cp.shards_done)}/{len(ranges)} shards done")
         return 0
     if args.shards is not None:
         g_value, witness = search.exhaustive_g_sharded(args.n, args.k, args.shards, args.checkpoint)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cliquespectra import search
 from cliquespectra.cli import run
 
 SINGLE_EDGE_TEXT = "3 4\n0 1 2\n"
@@ -77,6 +78,10 @@ class TestExtractTreeCommand:
 
     def test_infeasible_slack_is_input_error(self, single_edge_file, capsys):
         assert run(["extract-tree", single_edge_file, "--C", "0"]) == 2
+
+    def test_negative_slack_is_refused_by_name(self, single_edge_file, capsys):
+        assert run(["extract-tree", single_edge_file, "--C", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --C must be >= 0\n"
 
 
 class TestValidateTreeCommand:
@@ -176,6 +181,41 @@ class TestSearchCommand:
         assert len(err) < 200
         if n > 16:
             assert "n <= 16" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--shard", "3"],
+        ["--checkpoint", "CP"],
+        ["--hillclimb", "--shards", "3"],
+        ["--hillclimb", "--restarts", "-2"],
+        ["--hillclimb", "--iters", "-1"],
+    ])
+    def test_flags_the_mode_ignores_are_refused(self, flags, tmp_path, capsys):
+        cp = tmp_path / "cp.json"
+        argv = ["search-g", "--n", "4", "--k", "2"] + [str(cp) if f == "CP" else f for f in flags]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not cp.exists()
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"schema_version": 1, "n": 5, "k": 3, "shards_done": [[0, 600], [512, 1024]],
+                    "best": 3, "witness_edge_index": 79}),
+        json.dumps({"schema_version": 1, "n": 4, "k": 2, "shards_done": [],
+                    "best": -1, "witness_edge_index": -1}),
+    ])
+    def test_checkpoint_is_validated_before_the_shard_scan(self, text, tmp_path, monkeypatch, capsys):
+        def no_scan(*args):
+            raise AssertionError("scanned before the checkpoint was read")
+
+        monkeypatch.setattr(search, "scan_range", no_scan)
+        cp = tmp_path / "cp.json"
+        cp.write_text(text, encoding="utf-8")
+        assert run(["search-g", "--n", "5", "--k", "3", "--shards", "4", "--shard", "0",
+                    "--checkpoint", str(cp)]) == 2
+        assert capsys.readouterr().out == ""
+        assert cp.read_text(encoding="utf-8") == text
 
     def test_seed_must_fit_64_bits(self, capsys):
         assert run(["search-g", "--n", "3", "--k", "2", "--seed", str(1 << 64)]) == 2

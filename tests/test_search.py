@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cliquespectra import search
 from cliquespectra.hypergraphs import Hypergraph, brute_force_maximal_cliques, clique_spectrum
 from cliquespectra.search import (
     SpectrumScanner,
@@ -160,7 +161,9 @@ class TestSharding:
     def test_merge_matches_unsharded(self):
         full_g, full_w = exhaustive_g(5, 3)
         for parts in (2, 4, 7):
-            shards = [run_shard(5, 3, lo, hi) for lo, hi in shard_ranges(5, 3, parts)]
+            ranges = shard_ranges(5, 3, parts)
+            shards = [run_shard(5, 3, lo, hi) for lo, hi in ranges]
+            assert [s.shards_done for s in shards] == [[r] for r in ranges]
             best, idx = merge_shards(shards)
             assert (best, idx) == (full_g, edge_index_of(full_w))
         full = scan_range(7, 2, 0, 1 << 21)
@@ -174,11 +177,13 @@ class TestSharding:
         for (a, b), (c, d) in zip(ranges, ranges[1:]):
             assert b == c
 
-    def test_shard_rejects_out_of_space_range(self):
-        from cliquespectra.search import SearchShard
+    def test_shard_rejects_out_of_space_range(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned before the range was checked")
 
-        with pytest.raises(ValueError, match="outside"):
-            SearchShard(5, 3, 0, (1 << 10) + 1, 0, 0)
+        monkeypatch.setattr(search, "scan_range", no_scan)
+        with pytest.raises(ValueError, match="nonempty part of \\[0, 2\\^10\\)"):
+            run_shard(5, 3, 0, 2**10 + 1)
 
     def test_checkpoint_interrupt_and_resume(self, tmp_path):
         path = str(tmp_path / "scan.json")
@@ -256,6 +261,18 @@ class TestCheckpointValidation:
     def test_rejects_witness_without_best_sizes(self, tmp_path):
         with pytest.raises(ValueError, match="has 3 distinct sizes, not 4"):
             self._load(tmp_path, _checkpoint_doc(best=4))
+
+    @pytest.mark.parametrize("changes", [
+        {"n": 0, "shards_done": [[0, 1]], "best": -1},
+        {"n": 17, "k": 16, "shards_done": [[0, 2]], "best": -1},
+        {"k": 1, "shards_done": [[0, 2]], "best": -1},
+        {"best": True},
+        {"best": 3.0},
+        {"witness_edge_index": 79.0},
+    ])
+    def test_rejects_unscannable_shape_or_non_integers(self, tmp_path, changes):
+        with pytest.raises(ValueError, match="n <= 16|integers"):
+            self._load(tmp_path, _checkpoint_doc(**changes))
 
 
 class TestMoonMoser:

@@ -111,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--hillclimb", action="store_true")
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed", type=_seed_type, default=0)
+    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--seed", type=_seed_type, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--shard", type=int, default=None)
@@ -242,16 +242,21 @@ def _cmd_max_tree(args) -> int:
 def _cmd_search_g(args) -> int:
     if args.n < 1 or args.k < 2:
         raise ValueError("need --n >= 1 and --k >= 2")
-    if args.iters < 0 or args.restarts < 1:
-        raise ValueError("need --iters >= 0 and --restarts >= 1")
+    climb = {"iters": 1000, "restarts": 1, "seed": 0}  # the hill climb's defaults
+    given = {name: getattr(args, name) for name in climb if getattr(args, name) is not None}
+    if given and not args.hillclimb:
+        raise ValueError(f"only --hillclimb takes {' and '.join('--' + name for name in given)}")
     if args.hillclimb and args.shards is not None:
         raise ValueError("--hillclimb takes no --shards")
     if args.shards is None and (args.shard is not None or args.checkpoint):
         raise ValueError("--shard and --checkpoint need --shards")
     if args.hillclimb:
-        best, witness = search.hill_climb_g(args.n, args.k, args.iters, args.seed, args.restarts)
-        print(f"hill climb best: {best} distinct sizes (iters={args.iters}, "
-              f"restarts={args.restarts}, seed={args.seed})")
+        climb.update(given)
+        if climb["iters"] < 0 or climb["restarts"] < 1:
+            raise ValueError("need --iters >= 0 and --restarts >= 1")
+        best, witness = search.hill_climb_g(args.n, args.k, **climb)
+        settings = ", ".join(f"{name}={value}" for name, value in climb.items())
+        print(f"hill climb best: {best} distinct sizes ({settings})")
         print(f"witness edge index: {search.edge_index_of(witness)}")
         print(serialize_hypergraph(witness), end="")
         return 0

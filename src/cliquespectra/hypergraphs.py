@@ -7,9 +7,9 @@ canonical sorted k-tuples so membership tests are single hash lookups.
 Enumeration works on int bitmasks (bit v for vertex v) and converts its
 results back to frozensets.
 
-One Bron-Kerbosch recursion over a link map (``link_map``) lists the maximal
-cliques: ``enumerate_maximal_cliques``, behind ``clique_spectrum`` and hence
-the CLI, extraction and every witness re-check of the search.
+One Bron-Kerbosch recursion over a link map (``link_map``) finds the maximal
+cliques: ``clique_spectrum`` reads its bases directly, and
+``enumerate_maximal_cliques`` is the lex-ordered listing API.
 
 Each edge set is validated once.  ``Hypergraph(k, n, edges)`` and
 ``Hypergraph.from_edges`` canonicalize and check untrusted edges; the parser
@@ -98,27 +98,28 @@ class Hypergraph:
     def is_complete(self, members: Iterable[int]) -> bool:
         """True iff every k-subset of the set is an edge (vacuous below size k)."""
         s = self._check_members(members)
-        if len(s) < self.k:
-            return True
-        ordered = sorted(s)
-        return all(c in self.edges for c in itertools.combinations(ordered, self.k))
+        return len(s) < self.k or self.edges.issuperset(
+            itertools.combinations(sorted(s), self.k))
 
     def extenders(self, members: Iterable[int]) -> VertexSet:
         """All vertices v outside the set with set+{v} still complete."""
         s = self._check_members(members)
         if not self.is_complete(s):
             raise ValueError("extenders requires a complete set")
-        return frozenset(
-            v for v in range(self.n) if v not in s and self.is_complete(s | {v})
-        )
+        return self._extenders(s)
+
+    def _extenders(self, s: VertexSet) -> VertexSet:
+        """Extenders of a complete s: the new k-subsets are T+{v}, T a (k-1)-subset of s."""
+        left = [v for v in range(self.n) if v not in s]
+        for t in itertools.combinations(sorted(s), self.k - 1):
+            left = [v for v in left if tuple(sorted(t + (v,))) in self.edges]
+            if not left:
+                break
+        return frozenset(left)
 
     def is_maximal_clique(self, members: Iterable[int]) -> bool:
         s = self._check_members(members)
-        if not self.is_complete(s):
-            return False
-        return not any(
-            self.is_complete(s | {v}) for v in range(self.n) if v not in s
-        )
+        return self.is_complete(s) and not self._extenders(s)
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,6 @@ class SpectrumReport:
     def __post_init__(self):
         if self.distinct_sizes != len(set(self.sizes)):
             raise ValueError("distinct_sizes does not match sizes")
-
-
-def _lex_key(clique: VertexSet) -> List[int]:
-    return sorted(clique)
 
 
 def link_map(edge_masks: Iterable[int]) -> dict:
@@ -206,9 +203,8 @@ def _bron_kerbosch(link: dict, k: int, n: int) -> List[Tuple[int, ...]]:
 
 def enumerate_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
     """All maximal cliques, each once, ordered lexicographically."""
-    link = link_map(sum(1 << v for v in edge) for edge in H.edges)
-    bases = sorted(sorted(base) for base in _bron_kerbosch(link, H.k, H.n))
-    return [frozenset(base) for base in bases]
+    bases = _bron_kerbosch(link_map(sum(1 << v for v in e) for e in H.edges), H.k, H.n)
+    return [frozenset(base) for base in sorted(map(sorted, bases))]
 
 
 def brute_force_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
@@ -223,17 +219,19 @@ def brute_force_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
         if any(H.is_complete(s | {v}) for v in range(H.n) if v not in s):
             continue
         out.append(s)
-    return sorted(out, key=_lex_key)
+    return sorted(out, key=sorted)
 
 
 def clique_spectrum(H: Hypergraph) -> SpectrumReport:
-    """Multiset of maximal-clique sizes with lex-smallest witnesses."""
-    cliques = enumerate_maximal_cliques(H)
-    sizes = tuple(sorted((len(c) for c in cliques), reverse=True))
-    witnesses: dict = {}
-    for c in cliques:  # lex order, so the first of each size is the witness
-        witnesses.setdefault(len(c), c)
-    return SpectrumReport(sizes, len(witnesses), witnesses)
+    """Sizes of all maximal cliques and the lex-smallest of each size, in one pass."""
+    bases = _bron_kerbosch(link_map(sum(1 << v for v in e) for e in H.edges), H.k, H.n)
+    least: dict = {}
+    for base in bases:
+        ordered = sorted(base)
+        if ordered < least.setdefault(len(ordered), ordered):
+            least[len(ordered)] = ordered
+    witnesses = {size: frozenset(least[size]) for size in sorted(least)}
+    return SpectrumReport(tuple(sorted(map(len, bases), reverse=True)), len(witnesses), witnesses)
 
 
 def random_hypergraph(n: int, k: int, edge_probability: float, rng: random.Random) -> Hypergraph:

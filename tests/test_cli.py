@@ -1,9 +1,12 @@
+import hashlib
+import itertools
 import json
 
 import pytest
 
 from cliquespectra import search
 from cliquespectra.cli import run
+from cliquespectra.hypergraphs import Hypergraph, serialize_hypergraph
 
 SINGLE_EDGE_TEXT = "3 4\n0 1 2\n"
 STAR_TREE_TEXT = "3\n0\n0\n"
@@ -14,6 +17,25 @@ def single_edge_file(tmp_path):
     path = tmp_path / "H.hg"
     path.write_text(SINGLE_EDGE_TEXT)
     return str(path)
+
+
+def join_of_clique_pairs(m):
+    """The join of the graphs K_1 + K_(1+2^i), i < m: 2^m clique sizes on 2m + 2^m - 1 vertices."""
+    parts, edges = [], set()
+    for i in range(m):
+        start = parts[-1][-1] + 1 if parts else 0
+        parts.append(range(start, start + 2 + (1 << i)))  # the K_1, then the block
+        edges.update(itertools.combinations(parts[-1][1:], 2))
+    for a, b in itertools.combinations(parts, 2):
+        edges.update(itertools.product(a, b))
+    return Hypergraph.from_edges(2, parts[-1][-1] + 1, edges)
+
+
+def triangle_lift(G):
+    """The 3-graph whose edges are the triangles of the graph G."""
+    triangles = [t for t in itertools.combinations(range(G.n), 3)
+                 if all(pair in G.edges for pair in itertools.combinations(t, 2))]
+    return Hypergraph.from_edges(3, G.n, triangles)
 
 
 def _strip_walltime(raw):
@@ -82,6 +104,19 @@ class TestExtractTreeCommand:
     def test_negative_slack_is_refused_by_name(self, single_edge_file, capsys):
         assert run(["extract-tree", single_edge_file, "--C", "-1"]) == 2
         assert capsys.readouterr().err == "error: --C must be >= 0\n"
+
+    @pytest.mark.parametrize("name, H, digest", [
+        ("join-m4", join_of_clique_pairs(4), "8fb253ee9ef6f3d02344e87c76073a0b9c40338104d26b4a6c04e1e33e663ead"),
+        ("lift-m3", triangle_lift(join_of_clique_pairs(3)), "c7728e3e75a8018937cc2753258c8b2e92c2da5f091e0186e11e278a96d8c73e"),
+    ])
+    def test_certificate_bytes_are_pinned(self, name, H, digest, tmp_path, capsys):
+        # many-size constructions: 16 sizes on 23 vertices, 9 sizes on 13
+        path = tmp_path / f"{name}.hg"
+        path.write_text(serialize_hypergraph(H))
+        out_path = tmp_path / "cert.json"
+        assert run(["extract-tree", str(path), "--json", str(out_path)]) == 0
+        assert capsys.readouterr().out.endswith("certificate valid\n")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 class TestValidateTreeCommand:
@@ -169,6 +204,26 @@ class TestSearchCommand:
         assert run(["search-g", "--n", str(n), "--k", "3", "--hillclimb",
                     "--iters", str(iters), "--seed", "1"]) == 0
         assert "hill climb best: 1 distinct sizes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", [[], ["--exhaustive"], ["--shards", "2"]])
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "5", "--iters", "7"], "--iters and --seed"),
+        (["--restarts", "2"], "--restarts"),
+        (["--seed", "0"], "--seed"),
+    ])
+    def test_climb_flags_refused_outside_hillclimb(self, mode, flags, named, capsys):
+        assert run(["search-g", "--n", "3", "--k", "2", *mode, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: only --hillclimb takes {named}\n"
+
+    def test_hillclimb_defaults(self, capsys):
+        assert run(["search-g", "--n", "5", "--k", "2", "--hillclimb"]) == 0
+        first = capsys.readouterr().out
+        assert "(iters=1000, restarts=1, seed=0)" in first.splitlines()[0]
+        assert run(["search-g", "--n", "5", "--k", "2", "--hillclimb",
+                    "--iters", "1000", "--restarts", "1", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_oversized_space_is_refused(self, capsys):
         assert run(["search-g", "--n", "8", "--k", "2", "--exhaustive"]) == 2

@@ -28,6 +28,11 @@ def complete_graph(k, n):
     return Hypergraph.from_edges(k, n, itertools.combinations(range(n), k))
 
 
+def per_vertex_extenders(H, s):
+    """The definition: every vertex v outside s with s+{v} complete."""
+    return frozenset(v for v in range(H.n) if v not in s and H.is_complete(s | {v}))
+
+
 @st.composite
 def hypergraphs(draw, max_n=8, ks=(2, 3)):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -68,6 +73,43 @@ class TestExtenders:
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="complete"):
             SINGLE_EDGE.extenders({0, 1, 2, 3})
+
+
+class TestExtenderRule:
+    """`extenders` and `is_maximal_clique` test only the k-subsets a vertex adds;
+    the per-vertex definition is the oracle."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_the_per_vertex_definition(self, k):
+        rng = random.Random(f"extenders/{k}")
+        cases = [Hypergraph._canonical(k, n, []) for n in range(1, k)]  # n < k
+        cases += [random_hypergraph(rng.randint(1, 9), k, rng.choice((0.5, 0.8, 0.95)), rng)
+                  for _ in range(60)]
+        seen = set()
+        for H in cases:
+            subsets = {frozenset(range(H.n))}
+            for clique in enumerate_maximal_cliques(H):
+                subsets.add(clique)
+                subsets.update(clique - {v} for v in clique)
+            subsets.update(frozenset(v for v in range(H.n) if rng.random() < 0.6)
+                           for _ in range(20))
+            for s in subsets:
+                want = per_vertex_extenders(H, s)
+                complete = H.is_complete(s)
+                assert H.is_maximal_clique(s) == (complete and not want), (H, s)
+                if complete:
+                    assert H.extenders(s) == want, (H, s)
+                else:
+                    with pytest.raises(ValueError, match="complete"):
+                        H.extenders(s)
+                seen.add("complete" if complete else "incomplete")
+                if len(s) < k - 1:
+                    seen.add("below k-1")
+                elif len(s) == k - 1:
+                    seen.add("k-1")
+                if H.n < k and len(s) == H.n:
+                    seen.add("V with n < k")
+        assert seen == {"complete", "incomplete", "below k-1", "k-1", "V with n < k"}
 
 
 class TestMaximality:
@@ -164,6 +206,22 @@ class TestSpectrum:
         for size, witness in report.witnesses.items():
             assert len(witness) == size
             assert H.is_maximal_clique(witness)
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_the_brute_force_spectrum(self, k):
+        rng = random.Random(f"spectrum/{k}")
+        for _ in range(40):
+            H = random_hypergraph(rng.randint(1, 10), k, rng.uniform(0.3, 1.0), rng)
+            cliques = brute_force_maximal_cliques(H)  # lex order
+            witnesses = {}
+            for clique in cliques:
+                witnesses.setdefault(len(clique), clique)
+            report = clique_spectrum(H)
+            assert report.sizes == tuple(sorted(map(len, cliques), reverse=True))
+            assert report.distinct_sizes == len(witnesses)
+            assert report.witnesses == witnesses
+            assert list(report.witnesses) == sorted(witnesses)
 
 
 class TestStructuralProperties:

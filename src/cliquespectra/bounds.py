@@ -78,8 +78,11 @@ def _enclose(value: int, bit_cap: int) -> Tuple[Bound, Bound]:
 
 
 def _bound_str(b: Bound) -> str:
+    """2^2^...^top, a top 2^e + r past 64 bits as 2^e, (2^e+r) while r fits 64 bits, else ~2^e."""
     height, top = b
-    digits = str(top) if top.bit_length() <= 64 else f"~2^{top.bit_length() - 1}"
+    e = max(top.bit_length() - 1, 0)
+    r = top ^ (1 << e)
+    digits = str(top) if e < 64 else f"~2^{e}" if r >> 64 else f"(2^{e}+{r})" if r else f"2^{e}"
     return "2^" * height + digits
 
 
@@ -346,7 +349,7 @@ def min_slack_for(n: "TowerInt | int", bit_cap: int = DEFAULT_BIT_CAP) -> int:
 
 VARIANTS = ("claim23", "claim24")
 
-DEFAULT_MAX_ROUNDS = 1 << 20
+MAX_ROUNDS = 1 << 20  # refinement rounds one recursion level may take
 
 
 def tree_size_bound(
@@ -354,7 +357,6 @@ def tree_size_bound(
     offset: "TowerInt | int",
     variant: str = "claim23",
     bit_cap: int = DEFAULT_BIT_CAP,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> TowerInt:
     """Recursive upper bound on the vertex count of a (depth, offset)-budgeted tree.
 
@@ -373,12 +375,12 @@ def tree_size_bound(
     offset_t = as_tower(offset)
     if depth == 1:
         return offset_t.pow2(bit_cap).add(1, bit_cap)
-    # c < bit_length(max_rounds) iff 2^c <= max_rounds; a negative cap fits no round
-    if not offset_t.is_exact or offset_t.to_int() >= max(max_rounds, 0).bit_length():
+    # c < bit_length(MAX_ROUNDS) iff 2^c <= MAX_ROUNDS
+    if not offset_t.is_exact or offset_t.to_int() >= MAX_ROUNDS.bit_length():
         need = offset_t.describe() if offset_t.is_exact else f"(a tower of height {offset_t.height})"
         raise ValueError(
             "size bound recursion is not materializable: it would need "
-            f"2^{need} refinement rounds (cap {max_rounds})"
+            f"2^{need} refinement rounds (cap {MAX_ROUNDS})"
         )
     c = offset_t.to_int()
     pow2c = 1 << c
@@ -390,6 +392,6 @@ def tree_size_bound(
         inner_offset = budget_sum.add(pow2c + c, bit_cap)
         if variant == "claim24":
             inner_offset = inner_offset.pow2(bit_cap)
-        inner_bound = tree_size_bound(depth - 1, inner_offset, variant, bit_cap, max_rounds)
+        inner_bound = tree_size_bound(depth - 1, inner_offset, variant, bit_cap)
         budget = inner_bound.add(pow2c + c, bit_cap).pow2(bit_cap)
     return inner_bound.add(pow2c, bit_cap)

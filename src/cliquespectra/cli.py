@@ -265,11 +265,12 @@ def _cmd_search_g(args) -> int:
         if not 0 <= args.shard < len(ranges):
             raise ValueError(f"--shard must be in 0..{len(ranges) - 1}")
         lo, hi = ranges[args.shard]
-        cp = search.open_checkpoint(args.checkpoint, args.n, args.k) if args.checkpoint else None
+        cp = args.checkpoint and search.open_checkpoint(args.checkpoint, args.n, args.k, ranges)
         shard = search.run_shard(args.n, args.k, lo, hi)
         print(f"shard {args.shard}/{args.shards} [{lo}, {hi}): best {shard.best}, "
               f"witness index {shard.witness_edge_index}")
-        if cp is not None and search.record_shard(cp, shard, args.checkpoint):
+        if cp and (lo, hi) not in cp.shards_done:
+            search.record_shard(cp, shard, args.checkpoint)
             print(f"checkpoint updated: {len(cp.shards_done)}/{len(ranges)} shards done")
         return 0
     if args.shards is not None:

@@ -9,10 +9,10 @@ lane's distinct maximal-clique sizes at once.  The best count wins, then the
 smallest witnessing index.  On 2 CPUs with Python 3.11 all 2^21 graphs of
 (7, 2) take about 0.04 s, the 2^20 of (6, 3) 0.03 s, and the 2^28 of (8, 2)
 about 9 s in 64 shards.  Index ranges shard trivially and merge by one rule.
-A shard's result is the checkpoint of its one range, and `run_shard` checks
-that range before it scans; one helper holds the range rules for shards,
-records and loaded files.  A checkpoint file, validated when read back,
-makes long scans resumable.
+A shard's result is the checkpoint of its one range, checked before the scan.
+A checkpoint file, validated when read back, makes long scans resumable.  It
+belongs to the one shard plan (n, k, S) it was written under: a file holding a
+range outside the plan is refused when opened, so recording is an append.
 Past exhaustive reach, a seeded local search over families of vertex sets
 with distinct sizes gives lower-bound witnesses: a family whose members are
 all maximal in the k-graph of their k-subsets certifies itself by a
@@ -207,25 +207,21 @@ def shard_ranges(n: int, k: int, num_shards: int) -> List[Tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(num_shards)]
 
 
-def _check_ranges(n: int, k: int, new: Sequence[Tuple[int, int]],
-                  done: Sequence[Tuple[int, int]] = ()) -> None:
-    """Raise ValueError unless (n, k) is scannable, each new range is a nonempty
-    integer part of [0, 2^C(n,k)), and no two of new and done overlap.
+def _check_ranges(n: int, k: int, ranges: Sequence[Tuple[int, int]]) -> None:
+    """Raise ValueError unless (n, k) is scannable and the ranges are nonempty
+    integer parts of [0, 2^C(n,k)) that do not overlap.
 
-    done is taken as already checked and disjoint: new ranges meet each other
-    as neighbours once sorted, and every done range once, so recording one
-    shard costs one pass over done and loading a file one sort.
+    Once sorted, a range can overlap only its neighbours, so one sort checks all.
     """
     _check_scan_size(n, k)
     bits = math.comb(n, k)
-    for r in new:
+    for r in ranges:
         if len(r) != 2 or not all(type(v) is int for v in r) or not 0 <= r[0] < r[1] <= 1 << bits:
             raise ValueError(f"range {list(r)} is not a nonempty part of [0, 2^{bits})")
-    ranges = sorted(new)
-    for (a, b), (c, d) in itertools.chain(zip(ranges, ranges[1:]), itertools.product(new, done)):
-        if c < b and a < d:
-            raise ValueError(f"ranges [{a}, {b}) and [{c}, {d}) overlap; "
-                             "was the checkpoint written with another shard count?")
+    ranges = sorted(ranges)
+    for (a, b), (c, d) in zip(ranges, ranges[1:]):
+        if c < b:
+            raise ValueError(f"ranges [{a}, {b}) and [{c}, {d}) overlap")
 
 
 def run_shard(n: int, k: int, lo: int, hi: int) -> SearchCheckpoint:
@@ -343,28 +339,31 @@ def load_checkpoint(path: str) -> Optional[SearchCheckpoint]:
         return SearchCheckpoint.from_json(json.load(fh))
 
 
-def open_checkpoint(path: Optional[str], n: int, k: int) -> SearchCheckpoint:
-    """The checkpoint at path, or a fresh one when there is none (or no path)."""
+def open_checkpoint(path: Optional[str], n: int, k: int,
+                    ranges: Sequence[Tuple[int, int]]) -> SearchCheckpoint:
+    """The checkpoint at path, or a fresh one; a file holding a range outside the
+    shard plan ranges of (n, k) could never finish, so it is refused before any scan."""
     cp = load_checkpoint(path) if path else None
     if cp is None:
         return SearchCheckpoint(n, k, [], -1, -1, started_at=_now(), updated_at=_now())
     if (cp.n, cp.k) != (n, k):
         raise ValueError(f"checkpoint is for n={cp.n} k={cp.k}, not n={n} k={k}")
+    plan = set(ranges)
+    for lo, hi in cp.shards_done:
+        if (lo, hi) not in plan:
+            raise ValueError(f"checkpoint range [{lo}, {hi}) is no shard of {len(ranges)}; "
+                             "was it written with another shard count?")
     return cp
 
 
-def record_shard(cp: SearchCheckpoint, shard: SearchCheckpoint, path: Optional[str]) -> bool:
-    """Fold a finished shard into cp and save it to path; False if its ranges were done."""
-    new = [r for r in shard.shards_done if r not in cp.shards_done]
-    if not new:
-        return False
-    _check_ranges(cp.n, cp.k, new, cp.shards_done)
+def record_shard(cp: SearchCheckpoint, shard: SearchCheckpoint, path: Optional[str]) -> None:
+    """Fold a finished shard into cp, stamp it and save it to path.  The caller
+    passes a shard of a pending range of the plan cp was opened with."""
     cp.best, cp.witness_edge_index = merge_shards([cp, shard])
-    cp.shards_done.extend(new)
+    cp.shards_done.extend(shard.shards_done)
     cp.updated_at = _now()
     if path:
         save_checkpoint(cp, path)
-    return True
 
 
 def exhaustive_g_sharded(
@@ -380,16 +379,12 @@ def exhaustive_g_sharded(
     checkpoint then carries the partial state for a later resume).
     """
     ranges = shard_ranges(n, k, num_shards)
-    cp = open_checkpoint(checkpoint_path, n, k)
+    cp = open_checkpoint(checkpoint_path, n, k, ranges)
     done = set(cp.shards_done)
-    ran = 0
-    for lo, hi in ranges:
-        if (lo, hi) in done:
-            continue
+    for ran, (lo, hi) in enumerate(r for r in ranges if r not in done):
         if max_shards_this_run is not None and ran >= max_shards_this_run:
             return None
         record_shard(cp, run_shard(n, k, lo, hi), checkpoint_path)
-        ran += 1
     return cp.best, _checked_witness(n, k, cp.best, cp.witness_edge_index)
 
 

@@ -69,6 +69,17 @@ class TestTowerInt:
                for o in range(3) for i in range((1 << o) + 1)]
         assert got == described
 
+    @pytest.mark.parametrize("value, described", [
+        ((1 << 64) - 1, str((1 << 64) - 1)),
+        (1 << 64, "2^64"),
+        ((1 << 100) + 5, "(2^100+5)"),
+        ((1 << 100) + (1 << 64) - 1, f"(2^100+{(1 << 64) - 1})"),
+        ((1 << 100) + (1 << 64), "~2^100"),
+    ])
+    def test_wide_tops_render(self, value, described):
+        # a top past 64 bits reads 2^e + r, with r spelt out while it fits 64 bits
+        assert TowerInt.from_int(value).describe() == described
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=0, max_value=500),

@@ -187,6 +187,41 @@ class TestSearchCommand:
         assert "g(5,3) = 3" in out
         assert "witness edge index: 79" in out
 
+    def test_rerunning_a_done_shard_changes_nothing(self, tmp_path, capsys):
+        cp = tmp_path / "cp.json"
+        args = ["search-g", "--n", "5", "--k", "3", "--shards", "4", "--shard", "2",
+                "--checkpoint", str(cp)]
+        assert run(args) == 0
+        first = capsys.readouterr().out
+        assert first.endswith("checkpoint updated: 1/4 shards done\n")
+        text = cp.read_text(encoding="utf-8")
+        assert run(args) == 0
+        assert capsys.readouterr().out == first.splitlines(keepends=True)[0]
+        assert cp.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("done, refused", [(0, "[0, 256)"), (3, "[768, 1024)")])
+    def test_checkpoint_of_another_plan_is_refused_before_the_shard_scan(
+            self, done, refused, tmp_path, monkeypatch, capsys):
+        # shard 0 of 4 overlaps the shard this run records; shard 3 overlaps none,
+        # yet under 2 shards neither file could ever finish
+        cp = tmp_path / "cp.json"
+        assert run(["search-g", "--n", "5", "--k", "3", "--shards", "4", "--shard", str(done),
+                    "--checkpoint", str(cp)]) == 0
+        capsys.readouterr()
+        text = cp.read_text(encoding="utf-8")
+
+        def no_scan(*args):
+            raise AssertionError("scanned before the checkpoint was checked against the plan")
+
+        monkeypatch.setattr(search, "scan_range", no_scan)
+        assert run(["search-g", "--n", "5", "--k", "3", "--shards", "2", "--shard", "0",
+                    "--checkpoint", str(cp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: checkpoint range {refused} is no shard of 2; "
+                                "was it written with another shard count?\n")
+        assert cp.read_text(encoding="utf-8") == text
+
     def test_hillclimb_deterministic(self, capsys):
         args = [
             "search-g", "--n", "5", "--k", "2", "--hillclimb",
@@ -287,18 +322,18 @@ _BOUND_EXACT = {
 }
 _BOUND_EXACT.update({(2, 0, "claim23"): "10", (2, 0, "claim24"): "258"})
 _BOUND_ENCLOSED = {
-    (2, 1, "claim23"): ((1, "~2^132"), (1, "~2^132")),
-    (2, 2, "claim23"): ((5, "~2^16391"), (5, "~2^16391")),
+    (2, 1, "claim23"): ((1, "(2^132+7)"), (1, "(2^132+9)")),
+    (2, 2, "claim23"): ((5, "(2^16391+14)"), (5, "(2^16391+24)")),
     (2, 3, "claim23"): ((14, "134217740"), (14, "134217768")),
     (2, 4, "claim23"): ((30, "4503599627370517"), (30, "4503599627370577")),
-    (2, 5, "claim23"): ((62, "~2^101"), (62, "~2^101")),
+    (2, 5, "claim23"): ((62, "(2^101+38)"), (62, "(2^101+162)")),
     (3, 0, "claim23"): ((14, "134217740"), (14, "134217769")),
-    (2, 1, "claim24"): ((3, "~2^128"), (3, "~2^128")),
-    (2, 2, "claim24"): ((9, "~2^16384"), (9, "~2^16384")),
+    (2, 1, "claim24"): ((3, "(2^128+4)"), (3, "(2^128+8)")),
+    (2, 2, "claim24"): ((9, "(2^16384+7)"), (9, "(2^16384+19)")),
     (2, 3, "claim24"): ((22, "134217728"), (22, "134217758")),
     (2, 4, "claim24"): ((46, "4503599627370496"), (46, "4503599627370558")),
-    (2, 5, "claim24"): ((94, "~2^101"), (94, "~2^101")),
-    (3, 0, "claim24"): ((766, "~2^776"), (766, "~2^776")),
+    (2, 5, "claim24"): ((94, "2^101"), (94, "(2^101+126)")),
+    (3, 0, "claim24"): ((766, "2^776"), (766, "(2^776+1023)")),
 }
 # exact offsets whose 2^offset refinement rounds pass the round cap
 _BOUND_REFUSED = {
@@ -309,7 +344,7 @@ _BOUND_REFUSED = {
     (3, 2, "claim24"): "16384",
     (3, 3, "claim24"): "134217728",
     (3, 4, "claim24"): "4503599627370496",
-    (3, 5, "claim24"): "~2^101",
+    (3, 5, "claim24"): "2^101",
     (4, 0, "claim23"): "27",
     (2, 21, "claim23"): "21",
 }
@@ -368,12 +403,12 @@ class TestFstarCommand:
     @pytest.mark.parametrize("literal, shown, log_star, slack, min_slack", [
         ("65535", "65535", 4, "1.0", 2),
         ("65536", "65536", 5, "1.3219280948873622", 2),
-        ("2^100", "~2^100", 5, "1.3219280948873622", 2),
-        ("2^1048575", "~2^1048575", 6, "1.584962500721156", 2),  # last exact power
+        ("2^100", "2^100", 5, "1.3219280948873622", 2),
+        ("2^1048575", "2^1048575", 6, "1.584962500721156", 2),  # last exact power
         ("2^1048576", "2^1048576", 6, "1.584962500721156", 2),  # first tower
-        ("2^2^16", "~2^65536", 6, "1.584962500721156", 2),
-        ("2^2^2^2^2^16", "2^2^2^~2^65536", 9, "2.169925001442312", 3),
-        ("2^2^2^2^2^2^2^3", "2^2^2^2^~2^256", 9, "2.169925001442312", 3),
+        ("2^2^16", "2^65536", 6, "1.584962500721156", 2),
+        ("2^2^2^2^2^16", "2^2^2^2^65536", 9, "2.169925001442312", 3),
+        ("2^2^2^2^2^2^2^3", "2^2^2^2^2^256", 9, "2.169925001442312", 3),
     ])
     def test_exact_and_symbolic_output(self, literal, shown, log_star, slack, min_slack, capsys):
         assert run(["fstar", "--n", literal]) == 0

@@ -208,11 +208,19 @@ class TestSharding:
         with pytest.raises(ValueError, match="checkpoint"):
             exhaustive_g_sharded(5, 3, 2, path)
 
-    def test_another_shard_count_is_reported(self, tmp_path):
-        path = str(tmp_path / "cp.json")
-        exhaustive_g_sharded(5, 3, 4, path, max_shards_this_run=1)
-        with pytest.raises(ValueError, match="another shard count"):
-            exhaustive_g_sharded(5, 3, 3, path)
+    def test_another_shard_count_is_reported(self, tmp_path, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned before the checkpoint was checked against the plan")
+
+        path = tmp_path / "cp.json"
+        exhaustive_g_sharded(5, 3, 4, str(path), max_shards_this_run=1)
+        text = path.read_text(encoding="utf-8")
+        monkeypatch.setattr(search, "scan_range", no_scan)
+        with pytest.raises(ValueError) as refusal:
+            exhaustive_g_sharded(5, 3, 3, str(path))
+        assert str(refusal.value) == ("checkpoint range [0, 256) is no shard of 3; "
+                                      "was it written with another shard count?")
+        assert path.read_text(encoding="utf-8") == text
 
 
 def _checkpoint_doc(**changes):

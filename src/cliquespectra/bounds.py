@@ -77,13 +77,22 @@ def _enclose(value: int, bit_cap: int) -> Tuple[Bound, Bound]:
     return lo, _canon(1, floor_exp + 1, bit_cap)
 
 
+_SPELLED_HEIGHT = 4  # towers with more twos than this print as 2^^height(top)
+
+
 def _bound_str(b: Bound) -> str:
-    """2^2^...^top, a top 2^e + r past 64 bits as 2^e, (2^e+r) while r fits 64 bits, else ~2^e."""
+    """2^2^...^top up to _SPELLED_HEIGHT twos, else 2^^height(top).
+
+    A top 2^e + r past 64 bits reads 2^e, 2^e+r while r fits 64 bits (in
+    parentheses when spelled out), else ~2^e.
+    """
     height, top = b
     e = max(top.bit_length() - 1, 0)
     r = top ^ (1 << e)
-    digits = str(top) if e < 64 else f"~2^{e}" if r >> 64 else f"(2^{e}+{r})" if r else f"2^{e}"
-    return "2^" * height + digits
+    digits = str(top) if e < 64 else f"~2^{e}" if r >> 64 else f"2^{e}+{r}" if r else f"2^{e}"
+    if height > _SPELLED_HEIGHT:
+        return f"2^^{height}({digits})"
+    return "2^" * height + (f"({digits})" if "+" in digits else digits)
 
 
 @dataclass(frozen=True)

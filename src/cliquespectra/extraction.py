@@ -10,20 +10,29 @@ the parent's core).  The resulting tree is depth- and degree-budgeted with
 depth k-1 and offset equal to the slack C = n - #distinct sizes, and every
 identity the construction promises is re-checked by an independent validator
 that emits a machine-checkable certificate.
+
+The module also stress-tests the union-completeness implication behind the
+distance bound.  ``completeness_implication(H, sets)`` is the validating form
+on ``Hypergraph.is_complete``.  ``implication_trials`` runs the same rule on
+edge positions in ``edge_universe(n, k)`` and vertex bitmasks, so a trial
+builds no Hypergraph: a union is complete iff the positions of its k-subsets
+were all drawn.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .hypergraphs import (
     Hypergraph,
     SpectrumReport,
     VertexSet,
+    _draw_positions,
     clique_spectrum,
-    random_hypergraph,
+    edge_universe,
 )
 from .layered import LayeredParams, OrderedTree, validate_layered
 
@@ -406,30 +415,79 @@ class TrialsSummary:
     counterexamples: Tuple[dict, ...]
 
 
+def _subset_positions(n: int, k: int) -> Callable[[int], Tuple[int, ...]]:
+    """need(s): positions in ``edge_universe(n, k)`` of the k-subsets of vertex mask s.
+
+    Memoized per returned function, so the memo lives as long as its caller.
+    """
+    index = {e: j for j, e in enumerate(edge_universe(n, k))}
+    memo: Dict[int, Tuple[int, ...]] = {}
+
+    def need(s: int) -> Tuple[int, ...]:
+        got = memo.get(s)
+        if got is None:
+            members = [v for v in range(n) if s >> v & 1]
+            got = memo[s] = tuple(index[e] for e in itertools.combinations(members, k))
+        return got
+
+    return need
+
+
+def _position_implication(drawn: AbstractSet[int], need: Callable[[int], Tuple[int, ...]],
+                          masks: Sequence[int]) -> Tuple[bool, bool]:
+    """``completeness_implication`` on edge positions and vertex masks.
+
+    A vertex mask s is complete iff ``drawn`` holds every position in need(s).
+    """
+    hypotheses = True
+    for i in range(len(masks)):
+        union = 0
+        for j, s in enumerate(masks):
+            if j != i:
+                union |= s
+        if not drawn.issuperset(need(union)):
+            hypotheses = False
+            break
+    full = 0
+    for s in masks:
+        full |= s
+    return hypotheses, drawn.issuperset(need(full))
+
+
 def implication_trials(k: int, n: int, trials: int, seed: int) -> TrialsSummary:
     """Randomized stress of the implication: zero counterexamples expected.
 
     Densities are skewed high so the hypotheses actually fire a useful
-    fraction of the time.
+    fraction of the time.  A trial draws its hypergraph as the positions of
+    its edges in ``edge_universe(n, k)``, with the draws of
+    ``random_hypergraph``, and its k + 1 sets as vertex masks, so no trial
+    builds a Hypergraph; ``completeness_implication`` is the rule's oracle.
     """
     rng = random.Random(seed)
+    choice, randint, sample = rng.choice, rng.randint, rng.sample
     densities = (0.25, 0.5, 0.8, 0.95, 1.0)
+    universe = edge_universe(n, k)
+    need = _subset_positions(n, k)
+    vertices = range(n)
+    most = min(n, 4)
     held = 0
     bad: List[dict] = []
     for _ in range(trials):
-        H = random_hypergraph(n, k, rng.choice(densities), rng)
-        sets = []
+        kept = _draw_positions(len(universe), choice(densities), rng)
+        masks = []
         for _ in range(k + 1):
-            size = rng.randint(0, min(n, 4))
-            sets.append(frozenset(rng.sample(range(n), size)))
-        hypotheses, conclusion = completeness_implication(H, sets)
+            s = 0
+            for v in sample(vertices, randint(0, most)):
+                s |= 1 << v
+            masks.append(s)
+        hypotheses, conclusion = _position_implication(set(kept), need, masks)
         if hypotheses:
             held += 1
             if not conclusion:
                 bad.append(
                     {
-                        "edges": sorted(H.edges),
-                        "sets": [sorted(s) for s in sets],
+                        "edges": [universe[j] for j in kept],  # increasing j: sorted
+                        "sets": [[v for v in vertices if s >> v & 1] for s in masks],
                     }
                 )
     return TrialsSummary(trials, held, tuple(bad))

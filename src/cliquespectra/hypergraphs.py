@@ -17,10 +17,17 @@ checks every line itself.  The parser, ``random_hypergraph`` and
 ``search.hypergraph_from_edge_index`` then build through
 ``Hypergraph._canonical``, which checks k and n only, because their edges are
 canonical by construction.
+
+``edge_universe(n, k)`` lists the possible edges in lexicographic order (it
+checks k and n), and a position in it names an edge.  ``random_hypergraph``
+draws the positions it keeps with ``_draw_positions``, one ``rng.random()``
+per possible edge in that order; ``extraction.implication_trials`` makes the
+same draws and keeps only the positions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -234,14 +241,27 @@ def clique_spectrum(H: Hypergraph) -> SpectrumReport:
     return SpectrumReport(tuple(sorted(map(len, bases), reverse=True)), len(witnesses), witnesses)
 
 
+@functools.lru_cache(maxsize=8)
+def edge_universe(n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """All possible edges in lexicographic order; bit j of an index = edge j."""
+    _check_shape(k, n)
+    return tuple(itertools.combinations(range(n), k))
+
+
+def _draw_positions(count: int, edge_probability: float, rng: random.Random) -> List[int]:
+    """Positions j < count kept by one ``rng.random() < edge_probability`` each, in order."""
+    draw = rng.random
+    return [j for j in range(count) if draw() < edge_probability]
+
+
 def random_hypergraph(n: int, k: int, edge_probability: float, rng: random.Random) -> Hypergraph:
-    """Each possible edge kept independently with the given probability."""
-    edges = [
-        combo
-        for combo in itertools.combinations(range(n), k)
-        if rng.random() < edge_probability
-    ]
-    return Hypergraph._canonical(k, n, edges)
+    """Each possible edge kept independently with the given probability.
+
+    One draw per possible edge, in the lexicographic order of ``edge_universe``.
+    """
+    universe = edge_universe(n, k)
+    kept = _draw_positions(len(universe), edge_probability, rng)
+    return Hypergraph._canonical(k, n, [universe[j] for j in kept])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ polynomial check, and only the reported witness is enumerated.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -31,15 +30,9 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .hypergraphs import Hypergraph, clique_spectrum
+from .hypergraphs import Hypergraph, clique_spectrum, edge_universe
 
 MAX_UNSHARDED_BITS = 22  # refuse unsharded scans past 2^22 edge sets
-
-
-@functools.lru_cache(maxsize=8)
-def edge_universe(n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
-    """All possible edges in lexicographic order; bit j of an index = edge j."""
-    return tuple(itertools.combinations(range(n), k))
 
 
 def hypergraph_from_edge_index(n: int, k: int, index: int) -> Hypergraph:

@@ -312,28 +312,31 @@ class TestSearchCommand:
 
 
 def _tower(height, top):
-    return "2^" * height + top
+    if height > 4:
+        return f"2^^{height}({top})"
+    return "2^" * height + (f"({top})" if "+" in top else top)
 
 
 # `bound` values as printed: exact ones as text, enclosures as their
-# (height, top) ends, every end drawn as 2^2^...^top
+# (height, top) ends, an end drawn as 2^2^...^top up to four twos, else as
+# 2^^height(top)
 _BOUND_EXACT = {
     (1, C, variant): str((1 << C) + 1) for C in range(6) for variant in ("claim23", "claim24")
 }
 _BOUND_EXACT.update({(2, 0, "claim23"): "10", (2, 0, "claim24"): "258"})
 _BOUND_ENCLOSED = {
-    (2, 1, "claim23"): ((1, "(2^132+7)"), (1, "(2^132+9)")),
-    (2, 2, "claim23"): ((5, "(2^16391+14)"), (5, "(2^16391+24)")),
+    (2, 1, "claim23"): ((1, "2^132+7"), (1, "2^132+9")),
+    (2, 2, "claim23"): ((5, "2^16391+14"), (5, "2^16391+24")),
     (2, 3, "claim23"): ((14, "134217740"), (14, "134217768")),
     (2, 4, "claim23"): ((30, "4503599627370517"), (30, "4503599627370577")),
-    (2, 5, "claim23"): ((62, "(2^101+38)"), (62, "(2^101+162)")),
+    (2, 5, "claim23"): ((62, "2^101+38"), (62, "2^101+162")),
     (3, 0, "claim23"): ((14, "134217740"), (14, "134217769")),
-    (2, 1, "claim24"): ((3, "(2^128+4)"), (3, "(2^128+8)")),
-    (2, 2, "claim24"): ((9, "(2^16384+7)"), (9, "(2^16384+19)")),
+    (2, 1, "claim24"): ((3, "2^128+4"), (3, "2^128+8")),
+    (2, 2, "claim24"): ((9, "2^16384+7"), (9, "2^16384+19")),
     (2, 3, "claim24"): ((22, "134217728"), (22, "134217758")),
     (2, 4, "claim24"): ((46, "4503599627370496"), (46, "4503599627370558")),
-    (2, 5, "claim24"): ((94, "2^101"), (94, "(2^101+126)")),
-    (3, 0, "claim24"): ((766, "2^776"), (766, "(2^776+1023)")),
+    (2, 5, "claim24"): ((94, "2^101"), (94, "2^101+126")),
+    (3, 0, "claim24"): ((766, "2^776"), (766, "2^776+1023")),
 }
 # exact offsets whose 2^offset refinement rounds pass the round cap
 _BOUND_REFUSED = {
@@ -365,6 +368,16 @@ class TestBoundCommand:
                 f"size bound for ({k},{C})-budgeted trees, variant {variant}:\n"
                 f"  {value}  [{kind}]\n"
             )
+
+    def test_tall_towers_print_compactly(self, capsys):
+        assert run(_bound_argv(3, 0, "claim24")) == 0
+        out = capsys.readouterr().out
+        assert len(out) < 200
+        assert "  [2^^766(2^776), 2^^766(2^776+1023)]  [enclosure]\n" in out
+        assert run(_bound_argv(2, 1, "claim23")) == 0
+        assert "  [2^(2^132+7), 2^(2^132+9)]  [enclosure]\n" in capsys.readouterr().out
+        assert run(_bound_argv(2, 2, "claim23")) == 0
+        assert "  [2^^5(2^16391+14), 2^^5(2^16391+24)]  [enclosure]\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("k, C, variant", sorted(_BOUND_REFUSED))
     def test_exact_offset_refusals(self, k, C, variant, capsys):

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from cliquespectra import extraction
 from cliquespectra.cli import run
 from cliquespectra.extraction import (
     ExtractionResult,
+    TrialsSummary,
+    _position_implication,
+    _subset_positions,
     certificate_document,
     completeness_implication,
     extract_tree,
@@ -17,6 +21,7 @@ from cliquespectra.extraction import (
 from cliquespectra.hypergraphs import (
     Hypergraph,
     clique_spectrum,
+    edge_universe,
     random_hypergraph,
 )
 from cliquespectra.layered import LayeredParams, OrderedTree
@@ -222,6 +227,63 @@ class TestCompletenessImplication:
     def test_wrong_set_count(self):
         with pytest.raises(ValueError, match="k \\+ 1"):
             completeness_implication(SINGLE_EDGE, [{0}, {1}])
+
+    def test_out_of_range_vertex_is_refused(self):
+        H = Hypergraph.from_edges(2, 3, [(0, 1)])
+        with pytest.raises(ValueError, match="vertex 5 outside 0..2"):
+            completeness_implication(H, [{0}, {5}, {1}])
+        with pytest.raises(ValueError, match="vertex -1 outside 0..2"):
+            completeness_implication(H, [{-1}, set(), {1}])
+        with pytest.raises(ValueError, match="uniformity"):
+            implication_trials(1, 5, 10, seed=0)
+
+    def test_position_rule_matches_the_oracle(self):
+        """The trials' rule on edge positions and vertex masks against
+        completeness_implication and Hypergraph.is_complete."""
+        rng = random.Random(41)
+        held = covering = 0
+        for _ in range(1200):
+            k, n = rng.randint(2, 5), rng.randint(1, 10)
+            H = random_hypergraph(n, k, rng.choice((0.3, 0.7, 0.9, 1.0)), rng)
+            drawn = {j for j, e in enumerate(edge_universe(n, k)) if e in H.edges}
+            need = _subset_positions(n, k)
+            sets = []
+            for _ in range(k + 1):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    sets.append(frozenset())
+                elif kind == 1:
+                    sets.append(frozenset(range(n)))
+                elif kind == 2 and sets:  # overlaps an earlier set
+                    sets.append(rng.choice(sets) | {rng.randrange(n)})
+                else:
+                    sets.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
+            masks = [sum(1 << v for v in s) for s in sets]
+            got = _position_implication(drawn, need, masks)
+            assert got == completeness_implication(H, sets)
+            for s, mask in zip(sets, masks):
+                assert drawn.issuperset(need(mask)) == H.is_complete(s)
+            held += got[0]
+            covering += frozenset(range(n)) in sets
+        assert 100 < held < 1100 and covering > 100
+
+    def test_counterexample_path_records_the_drawn_trial(self, monkeypatch, capsys):
+        # a rule that denies every conclusion turns each trial into a counterexample
+        monkeypatch.setattr(extraction, "_position_implication", lambda drawn, need, masks: (True, False))
+        k, n, trials, seed = 3, 7, 25, 5
+        rng = random.Random(seed)
+        want = []
+        for _ in range(trials):
+            H = random_hypergraph(n, k, rng.choice((0.25, 0.5, 0.8, 0.95, 1.0)), rng)
+            sets = [sorted(rng.sample(range(n), rng.randint(0, min(n, 4)))) for _ in range(k + 1)]
+            want.append({"edges": sorted(H.edges), "sets": sets})
+        assert implication_trials(k, n, trials, seed) == TrialsSummary(trials, trials, tuple(want))
+        assert run(["check-fact1", "--k", str(k), "--n", str(n), "--trials", str(trials),
+                    "--seed", str(seed)]) == 1
+        assert capsys.readouterr().out == "".join(
+            [f"{trials} trials, hypotheses held in {trials}, counterexamples: {trials}\n"]
+            + [f"  counterexample: sets {bad['sets']} edges {bad['edges']}\n" for bad in want[:5]]
+        )
 
     def test_seeded_stream_is_pinned(self, capsys):
         # Values of the seeded draw order; a change to it must fail here.

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from cliquespectra.hypergraphs import (
     Hypergraph,
     ParseError,
+    _draw_positions,
     brute_force_maximal_cliques,
     clique_spectrum,
     complement,
+    edge_universe,
     enumerate_maximal_cliques,
     parse_hypergraph,
     random_hypergraph,
@@ -355,6 +357,27 @@ class TestConstruction:
             for index in (0, top, rnd.randint(0, top)):
                 edges = [e for j, e in enumerate(universe) if index >> j & 1]
                 check(hypergraph_from_edge_index(n, k, index), oracle(k, n, edges))
+
+    def test_draws_match_the_per_subset_loop(self):
+        """The draw helper and random_hypergraph keep the edges, and leave the
+        RNG where, the loop over the k-subsets in lex order left them."""
+        def per_subset_loop(n, k, p, rng):
+            return [combo for combo in itertools.combinations(range(n), k) if rng.random() < p]
+
+        grid = random.Random(77)
+        for n, k in ((1, 2), (2, 3), (3, 5), (4, 2), (6, 3), (7, 5), (9, 4), (10, 2)):
+            for p in (0, 0.5, 1.0, 1, grid.random()):
+                for seed in (0, 1, grid.getrandbits(32)):
+                    oracle_rng = random.Random(seed)
+                    want = per_subset_loop(n, k, p, oracle_rng)
+                    after = oracle_rng.random()
+                    universe = edge_universe(n, k)
+                    rng = random.Random(seed)
+                    assert [universe[j] for j in _draw_positions(len(universe), p, rng)] == want
+                    assert rng.random() == after
+                    rng = random.Random(seed)
+                    assert sorted(random_hypergraph(n, k, p, rng).edges) == want
+                    assert rng.random() == after
 
     def test_canonical_producers_still_reject_bad_shapes(self):
         for n, k in ((3, 1), (3, 0), (0, 2), (-1, 2)):

@@ -10,6 +10,7 @@ wall-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -74,7 +75,12 @@ def _seed_type(value: str) -> int:
     return seed
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call.
+
+    parse_args fills a fresh Namespace each time, so no call sees another's flags.
+    """
     parser = argparse.ArgumentParser(
         prog="cliquespectra",
         description="Maximal-clique spectra of uniform hypergraphs, "
@@ -336,9 +342,8 @@ _HANDLERS = {
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse soaks up usage errors with code 2
         return exc.code if isinstance(exc.code, int) else 2
     try:

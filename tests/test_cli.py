@@ -1,11 +1,15 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cliquespectra import search
-from cliquespectra.cli import run
+from cliquespectra.cli import build_parser, run
 from cliquespectra.hypergraphs import Hypergraph, serialize_hypergraph
 
 SINGLE_EDGE_TEXT = "3 4\n0 1 2\n"
@@ -459,3 +463,41 @@ class TestUsageContract:
 
     def test_no_command(self, capsys):
         assert run([]) == 2
+
+
+def _python(*args):
+    """A new interpreter on this checkout's src, run with args."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+class TestParserReuse:
+    """One parser serves every run call of a process, and no call leaks into the next."""
+
+    @pytest.mark.parametrize("sequence, codes", [
+        ([["search-g", "--n", "x", "--k", "2"], ["search-g", "--n", "3", "--k", "2"]], [2, 0]),
+        ([["--help"], ["search-g", "--n", "3", "--k", "2"]], [0, 0]),
+        # climb flags given once stay None for the calls after it
+        ([["search-g", "--n", "3", "--k", "2", "--hillclimb", "--seed", "5", "--iters", "7"],
+          ["search-g", "--n", "3", "--k", "2", "--exhaustive"],
+          ["search-g", "--n", "3", "--k", "2", "--seed", "5"]], [0, 0, 2]),
+    ], ids=["usage-error", "help", "climb-flags"])
+    def test_calls_in_one_process_match_fresh_processes(self, sequence, codes, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        fresh = [_python("-m", "cliquespectra", *argv) for argv in sequence]  # as users start it
+        expected = [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
+        parser = build_parser()
+        got = []
+        for argv in sequence:
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        assert build_parser() is parser
+        assert [code for code, _, _ in got] == codes
+        assert got == expected
+
+    def test_import_builds_no_parser(self):
+        # the parser is built by the first run call, so importing the CLI stays as cheap as before
+        proc = _python("-c", "from cliquespectra import cli; print(cli.build_parser.cache_info())")
+        assert proc.returncode == 0, proc.stderr
+        assert "currsize=0" in proc.stdout

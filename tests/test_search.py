@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from cliquespectra import search
 from cliquespectra.hypergraphs import Hypergraph, brute_force_maximal_cliques, clique_spectrum
 from cliquespectra.search import (
+    SearchCheckpoint,
     SpectrumScanner,
     _all_maximal,
     _member,
@@ -109,6 +111,33 @@ class TestBlockBoundaries:
             assert scanner.best_in_block(base, 1 << (idx - base)) == (scanner.distinct_sizes(idx), idx)
 
 
+class TestScannerReuse:
+    """scan_range takes each (n, k)'s scanner from a cache; no scan may leave state behind."""
+
+    def test_one_scanner_per_shape_in_a_bounded_cache(self):
+        assert search._scanner(5, 3) is search._scanner(5, 3)
+        assert search._scanner(5, 3) is not search._scanner(6, 2)
+        maxsize = search._scanner.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize >= 1  # None would keep every n = 16 table
+
+    def test_shuffled_ranges_on_cached_scanners_match_fresh_ones(self, monkeypatch):
+        rng = random.Random(31)
+        cases = [(5, 3, lo, hi) for lo, hi in shard_ranges(5, 3, 7)]
+        cases += [(7, 2, BLOCK - 300, BLOCK + 200), (7, 2, 5000, 5600), (7, 2, 81407, 81408),
+                  (6, 3, BLOCK - 50, BLOCK + 50)]
+        rng.shuffle(cases)
+        cached = []
+        for n, k, lo, hi in cases:
+            cached.append(scan_range(n, k, lo, hi))
+            # a one-lane count between the block scans, on the same tables
+            idx = rng.randrange(lo, hi)
+            expected = clique_spectrum(hypergraph_from_edge_index(n, k, idx)).distinct_sizes
+            assert search._scanner(n, k).distinct_sizes(idx) == expected
+        monkeypatch.setattr(search, "_scanner", SpectrumScanner)  # a new scanner per scan
+        fresh = [scan_range(*case) for case in cases]
+        assert cached == fresh == [_oracle_scan(*case) for case in cases]
+
+
 class TestExhaustive:
     def test_tiny_values(self):
         assert exhaustive_g(1, 2)[0] == 1
@@ -201,6 +230,21 @@ class TestSharding:
         cp = load_checkpoint(path)
         save_checkpoint(cp, path)
         assert load_checkpoint(path) == cp
+
+    def test_checkpoint_bytes_at_the_7_3_plan(self, tmp_path):
+        # all 8,192 ranges of the (7, 3) plan, with g(7,3)'s witness
+        witness = 34308863
+        best = clique_spectrum(hypergraph_from_edge_index(7, 3, witness)).distinct_sizes
+        cp = SearchCheckpoint(7, 3, shard_ranges(7, 3, 8192), best, witness,
+                              started_at="2026-01-01T00:00:00", updated_at="2026-01-01T00:12:00")
+        path = tmp_path / "cp.json"
+        save_checkpoint(cp, str(path))
+        dumped = io.StringIO()  # what json.dump wrote before, through the pure-Python encoder
+        json.dump(cp.to_json(), dumped, sort_keys=True)
+        dumped.write("\n")
+        assert path.read_bytes() == dumped.getvalue().encode("utf-8")
+        assert not (tmp_path / "cp.json.tmp").exists()
+        assert load_checkpoint(str(path)) == cp
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "cp.json")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from cliquespectra import search
 from cliquespectra.cli import build_parser, run
-from cliquespectra.hypergraphs import Hypergraph, serialize_hypergraph
+from cliquespectra.hypergraphs import Hypergraph, random_hypergraph, serialize_hypergraph
 
 SINGLE_EDGE_TEXT = "3 4\n0 1 2\n"
 STAR_TREE_TEXT = "3\n0\n0\n"
@@ -75,6 +76,18 @@ class TestSpectrumCommand:
         assert run(["spectrum", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, digest", [
+        ("spectrum", "a03cddca2a18c8fc95a71d0f614834d570a8f0da0adc1ef4a0a386d32cb4926c"),
+        ("cliques", "2cd7e08c1895a66e9f2543ccd62edc4f7f4791d1ad58caceb6a03e11de78c175"),
+    ])
+    def test_k3_results_are_pinned(self, command, digest, tmp_path, capsys):
+        # 108 maximal cliques of 4 sizes on 14 vertices
+        path = tmp_path / "k3.hg"
+        path.write_text(serialize_hypergraph(random_hypergraph(14, 3, 0.7, random.Random("pin/k3"))))
+        assert run([command, str(path), "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
+
 
 class TestCliquesCommand:
     def test_lists_cliques(self, single_edge_file, capsys):
@@ -112,9 +125,15 @@ class TestExtractTreeCommand:
     @pytest.mark.parametrize("name, H, digest", [
         ("join-m4", join_of_clique_pairs(4), "8fb253ee9ef6f3d02344e87c76073a0b9c40338104d26b4a6c04e1e33e663ead"),
         ("lift-m3", triangle_lift(join_of_clique_pairs(3)), "c7728e3e75a8018937cc2753258c8b2e92c2da5f091e0186e11e278a96d8c73e"),
+        ("join-m6", join_of_clique_pairs(6), "6eb7c05c510b63f0764f8605ed5664ae4e0bc3558436f59182228feffb5ae921"),
+        ("rand-k2-n60", random_hypergraph(60, 2, 0.5, random.Random("pin/k2")),
+         "22d8e1261ebe5289dd91eddb7f18cd16d3efa94520c8dc73d696fadaa78ded13"),
+        ("rand-k4-n12", random_hypergraph(12, 4, 0.9, random.Random("pin/k4")),
+         "9c867ef216e397552f6101034a4bfe08b03cd36c7fc02194b05f4155f79cdfa1"),
     ])
     def test_certificate_bytes_are_pinned(self, name, H, digest, tmp_path, capsys):
-        # many-size constructions: 16 sizes on 23 vertices, 9 sizes on 13
+        # many-size constructions (16 sizes on 23 vertices, 9 on 13, 64 on 75)
+        # and dense random files like the benchmark's (6 sizes on 60, 3 on 12)
         path = tmp_path / f"{name}.hg"
         path.write_text(serialize_hypergraph(H))
         out_path = tmp_path / "cert.json"

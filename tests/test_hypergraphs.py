@@ -285,6 +285,32 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_hypergraph("# nothing\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("# nothing\n", 1, "missing 'k n' header"),
+        ("\n3\n", 2, "header must be exactly 'k n'"),
+        ("3 4 5\n", 1, "header must be exactly 'k n'"),
+        ("3 x\n", 1, "header values must be base-10 integers"),
+        ("1 4\n", 1, "invalid header k=1 n=4 (need k >= 2, n >= 1)"),
+        ("2 0\n", 1, "invalid header k=2 n=0 (need k >= 2, n >= 1)"),
+        ("2 4\n0 1\n1 x\n", 3, "edge vertices must be base-10 integers"),
+        ("2 4\n0 9 x\n", 2, "edge vertices must be base-10 integers"),  # before arity and range
+        ("3 4\n0 1\n", 2, "edge must list exactly 3 distinct vertices"),
+        ("2 4\n0 1 2\n", 2, "edge must list exactly 2 distinct vertices"),
+        ("3 4\n# c\n0 2 2\n", 3, "edge must list exactly 3 distinct vertices"),
+        ("2 4\n9 9\n", 2, "edge must list exactly 2 distinct vertices"),  # before range
+        ("2 5\n7 -1\n", 2, "vertex 7 outside 0..4"),  # the first bad vertex in line order
+        ("2 5\n-1 7\n", 2, "vertex -1 outside 0..4"),
+        ("3 5\n0 6 5\n", 2, "vertex 6 outside 0..4"),
+        ("3 5\n5 0 -2\n", 2, "vertex 5 outside 0..4"),
+        ("2 3\n0 1\n2 1\n1 0\n", 4, "duplicate edge 0 1"),
+        ("3 6\n5 0 3\n0 3 5\n", 3, "duplicate edge 0 3 5"),
+    ])
+    def test_error_messages_are_pinned(self, text, line, message):
+        with pytest.raises(ParseError) as caught:
+            parse_hypergraph(text)
+        assert str(caught.value) == f"line {line}: {message}"
+        assert caught.value.line == line
+
     @settings(max_examples=80, deadline=None)
     @given(hypergraphs())
     def test_round_trip(self, H):

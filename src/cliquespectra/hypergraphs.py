@@ -4,12 +4,19 @@ A vertex set is complete when every k-subset of it is an edge (vacuously so
 below size k), and a maximal clique is a complete set that no single vertex
 can extend.  Vertex sets in the API are ``frozenset[int]``; edges are
 canonical sorted k-tuples so membership tests are single hash lookups.
-Enumeration works on int bitmasks (bit v for vertex v) and converts its
-results back to frozensets.
 
-One Bron-Kerbosch recursion over a link map (``link_map``) finds the maximal
-cliques: ``clique_spectrum`` reads its bases directly, and
-``enumerate_maximal_cliques`` is the lex-ordered listing API.
+Enumeration works on int vertex masks (bit v for vertex v) from start to
+finish.  ``_link`` builds the engine's link table in one pass over the edge
+tuples, and one Bron-Kerbosch recursion (``_bron_kerbosch``) returns the mask
+of every maximal clique.  ``clique_spectrum`` reads sizes with ``bit_count``
+and picks each size's lex-least witness by comparing masks, so only the
+witnesses become frozensets; ``enumerate_maximal_cliques`` is the lex-ordered
+listing API.
+
+Maximality (``is_maximal_clique``, ``extenders``) shares no code or data with
+the engine: it tests a set against per-vertex links (``Hypergraph._links``,
+links[v] holding the (k-1)-tuples that close into an edge with v), built from
+the edges on first use and kept with the instance.
 
 Each edge set is validated once.  ``Hypergraph(k, n, edges)`` and
 ``Hypergraph.from_edges`` canonicalize and check untrusted edges; the parser
@@ -116,13 +123,22 @@ class Hypergraph:
         return self._extenders(s)
 
     def _extenders(self, s: VertexSet) -> VertexSet:
-        """Extenders of a complete s: the new k-subsets are T+{v}, T a (k-1)-subset of s."""
-        left = [v for v in range(self.n) if v not in s]
-        for t in itertools.combinations(sorted(s), self.k - 1):
-            left = [v for v in left if tuple(sorted(t + (v,))) in self.edges]
-            if not left:
-                break
-        return frozenset(left)
+        """Extenders of a complete s: v extends s iff every (k-1)-subset T of s
+        has T+{v} an edge, i.e. lies in v's link."""
+        need = frozenset(itertools.combinations(sorted(s), self.k - 1))
+        links = self._links
+        return frozenset(v for v in range(self.n) if v not in s and need <= links[v])
+
+    @functools.cached_property
+    def _links(self) -> List[set]:
+        """links[v]: the (k-1)-tuples T with T+{v} an edge, read from the edges
+        alone.  Built on first use and kept in the instance's __dict__, outside
+        the dataclass fields, so it changes no comparison, hash or repr."""
+        links: List[set] = [set() for _ in range(self.n)]
+        for edge in self.edges:
+            for i, v in enumerate(edge):
+                links[v].add(edge[:i] + edge[i + 1:])
+        return links
 
     def is_maximal_clique(self, members: Iterable[int]) -> bool:
         s = self._check_members(members)
@@ -142,76 +158,107 @@ class SpectrumReport:
             raise ValueError("distinct_sizes does not match sizes")
 
 
-def link_map(edge_masks: Iterable[int]) -> dict:
-    """link[S]: mask of the vertices that close the (k-1)-set S into an edge.
+def _link(H: Hypergraph):
+    """The engine's link table, built in one pass over the edge tuples.
 
-    Edges and vertex sets are int bitmasks (bit v for vertex v).
+    The link of a (k-1)-set S is the mask of the vertices that close S into an
+    edge (bit v for vertex v).  For k == 2 the table is a list in which entry
+    v + 1 holds the neighbours of v, so the link of the vertex mask u is
+    ``link[u.bit_length()]``; for k >= 3 it is a dict keyed by the mask of S.
     """
-    link: dict = {}
-    for members in edge_masks:
-        rest = members
-        while rest:
-            v = rest & -rest
-            rest ^= v
-            link[members ^ v] = link.get(members ^ v, 0) | v
+    bit = [1 << v for v in range(H.n)]
+    if H.k == 2:
+        link = [0] * (H.n + 1)
+        for a, b in H.edges:
+            link[a + 1] |= bit[b]
+            link[b + 1] |= bit[a]
+        return link
+    link = {}
+    for edge in H.edges:
+        members = 0
+        for v in edge:
+            members |= bit[v]
+        for v in edge:
+            rest = members ^ bit[v]
+            link[rest] = link.get(rest, 0) | bit[v]
     return link
 
 
-def _bron_kerbosch(link: dict, k: int, n: int) -> List[Tuple[int, ...]]:
-    """The clique engine: the base tuples of all maximal cliques.
+def _bron_kerbosch(link, k: int, n: int) -> List[int]:
+    """The clique engine: the vertex masks of all maximal cliques.
 
     Bron-Kerbosch over int vertex bitmasks.  The state is (base R, candidates
     P, excluded X), where P and X partition the extenders of R; R+{v} keeps
     the u with R+{v,u} complete, i.e. u in link[T|v] for every (k-2)-subset T
-    of R.  Tomita pivoting is sound only in the pairwise case, so it is
-    enabled for k == 2 alone.
+    of R.  A child without candidates is settled in the loop: R+{v} is maximal
+    iff its X is empty too.  Tomita pivoting is sound only in the pairwise
+    case, so it is enabled for k == 2 alone, and so is settling a child with
+    one candidate w in the loop: R+{v,w} is maximal iff no vertex of the
+    child's X is a neighbour of w.
     """
-    found: List[Tuple[int, ...]] = []
+    found: List[int] = []
+    pairwise = k == 2
 
-    def expand(base: Tuple[int, ...], subsets: List[list], cand: int, excl: int):
-        # subsets[j]: masks of the j-subsets of base, for j = 0..k-2
-        if not cand:
-            if not excl:
-                found.append(base)
-            return
+    def expand(base: int, subsets: List[list], cand: int, excl: int):
+        # subsets[j]: masks of the j-subsets of base, for j = 0..k-2; cand is
+        # never empty here
         order = cand
-        if k == 2:
+        if pairwise:
             most = -1
             rest = cand | excl
             while rest:
                 u = rest & -rest
                 rest ^= u
-                count = (cand & link.get(u, 0)).bit_count()
+                around = link[u.bit_length()]
+                count = (cand & around).bit_count()
                 if count > most:
-                    most, pivot = count, u
-            order = cand & ~link.get(pivot, 0)
+                    most, spared = count, around  # the pivot's neighbours
+            order = cand & ~spared
         while order:
             v = order & -order
             order ^= v
-            if k == 2:
-                keep = link.get(v, 0)
-                grown = subsets
+            cand ^= v
+            if pairwise:
+                keep = link[v.bit_length()]
             else:
                 keep = -1
                 for t in subsets[-1]:
                     keep &= link.get(t | v, 0)
                     if not keep:
                         break
+            child = cand & keep
+            if not child:
+                if not excl & keep:
+                    found.append(base | v)
+            elif not pairwise:
                 grown = [subsets[0]]
                 for j in range(1, k - 1):
                     grown.append(subsets[j] + [t | v for t in subsets[j - 1]])
-            cand ^= v
-            expand(base + (v.bit_length() - 1,), grown, cand & keep, excl & keep)
+                expand(base | v, grown, child, excl & keep)
+            elif child & (child - 1):
+                expand(base | v, subsets, child, excl & keep)
+            elif not excl & keep & link[child.bit_length()]:
+                found.append(base | v | child)
             excl |= v
 
-    expand((), [[0]] + [[] for _ in range(k - 2)], (1 << n) - 1, 0)
+    expand(0, [[0]] + [[] for _ in range(k - 2)], (1 << n) - 1, 0)
     return found
+
+
+def _members(mask: int) -> List[int]:
+    """The vertices of a mask, in increasing order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 def enumerate_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
     """All maximal cliques, each once, ordered lexicographically."""
-    bases = _bron_kerbosch(link_map(sum(1 << v for v in e) for e in H.edges), H.k, H.n)
-    return [frozenset(base) for base in sorted(map(sorted, bases))]
+    masks = _bron_kerbosch(_link(H), H.k, H.n)
+    return [frozenset(members) for members in sorted(map(_members, masks))]
 
 
 def brute_force_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
@@ -230,15 +277,21 @@ def brute_force_maximal_cliques(H: Hypergraph) -> List[VertexSet]:
 
 
 def clique_spectrum(H: Hypergraph) -> SpectrumReport:
-    """Sizes of all maximal cliques and the lex-smallest of each size, in one pass."""
-    bases = _bron_kerbosch(link_map(sum(1 << v for v in e) for e in H.edges), H.k, H.n)
+    """Sizes of all maximal cliques and the lex-smallest of each size, in one pass.
+
+    Of two vertex sets of equal size, the lex-smaller holds the lowest vertex
+    of their symmetric difference, so no clique is sorted.
+    """
+    masks = _bron_kerbosch(_link(H), H.k, H.n)
+    sizes = [mask.bit_count() for mask in masks]
     least: dict = {}
-    for base in bases:
-        ordered = sorted(base)
-        if ordered < least.setdefault(len(ordered), ordered):
-            least[len(ordered)] = ordered
-    witnesses = {size: frozenset(least[size]) for size in sorted(least)}
-    return SpectrumReport(tuple(sorted(map(len, bases), reverse=True)), len(witnesses), witnesses)
+    for size, mask in zip(sizes, masks):
+        diff = mask ^ least.setdefault(size, mask)
+        if mask & diff & -diff:
+            least[size] = mask
+    witnesses = {size: frozenset(_members(least[size])) for size in sorted(least)}
+    sizes.sort(reverse=True)
+    return SpectrumReport(tuple(sizes), len(witnesses), witnesses)
 
 
 @functools.lru_cache(maxsize=8)
@@ -270,12 +323,11 @@ def random_hypergraph(n: int, k: int, edge_probability: float, rng: random.Rando
 
 def parse_hypergraph(text: str) -> Hypergraph:
     k = n = None
-    edges = {}
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if k is None:
             if len(tokens) != 2:
                 raise ParseError("header must be exactly 'k n'", lineno)
@@ -287,18 +339,18 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(f"invalid header k={k} n={n} (need k >= 2, n >= 1)", lineno)
             continue
         try:
-            verts = [int(t) for t in tokens]
+            verts = sorted(map(int, tokens))
         except ValueError:
             raise ParseError("edge vertices must be base-10 integers", lineno) from None
         if len(verts) != k or len(set(verts)) != k:
             raise ParseError(f"edge must list exactly {k} distinct vertices", lineno)
-        bad = [v for v in verts if v < 0 or v >= n]
-        if bad:
-            raise ParseError(f"vertex {bad[0]} outside 0..{n - 1}", lineno)
-        tup = tuple(sorted(verts))
+        if verts[0] < 0 or verts[-1] >= n:
+            bad = next(v for v in map(int, tokens) if v < 0 or v >= n)  # first in line order
+            raise ParseError(f"vertex {bad} outside 0..{n - 1}", lineno)
+        tup = tuple(verts)
         if tup in edges:
             raise ParseError(f"duplicate edge {' '.join(map(str, tup))}", lineno)
-        edges[tup] = lineno
+        edges.add(tup)
     if k is None:
         raise ParseError("missing 'k n' header", 1)
     return Hypergraph._canonical(k, n, edges)  # each edge checked and sorted above

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from cliquespectra.hypergraphs import (
     serialize_hypergraph,
 )
 from cliquespectra.search import hypergraph_from_edge_index
+from test_cli import join_of_clique_pairs
 
 SINGLE_EDGE = Hypergraph.from_edges(3, 4, [(0, 1, 2)])
 EDGELESS_33 = Hypergraph.from_edges(3, 3, [])
@@ -213,8 +216,12 @@ class TestSpectrum:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_the_brute_force_spectrum(self, k):
         rng = random.Random(f"spectrum/{k}")
-        for _ in range(40):
-            H = random_hypergraph(rng.randint(1, 10), k, rng.uniform(0.3, 1.0), rng)
+        graphs = [random_hypergraph(rng.randint(1, 10), k, rng.uniform(0.3, 1.0), rng)
+                  for _ in range(40)]
+        # dense graphs on 12 vertices: many engine children with no candidate
+        # or (k = 2) exactly one, which the engine settles without a call
+        graphs += [random_hypergraph(12, k, p, rng) for p in (0.6, 0.8, 0.95)]
+        for H in graphs:
             cliques = brute_force_maximal_cliques(H)  # lex order
             witnesses = {}
             for clique in cliques:
@@ -224,6 +231,49 @@ class TestSpectrum:
             assert report.distinct_sizes == len(witnesses)
             assert report.witnesses == witnesses
             assert list(report.witnesses) == sorted(witnesses)
+
+
+class TestMaskLexRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=12).flatmap(
+        lambda size: st.tuples(*[st.sets(st.integers(0, 70), min_size=size, max_size=size)] * 2)))
+    def test_lowest_differing_vertex_decides(self, pair):
+        # clique_spectrum's witness rule: of two vertex sets of equal size, the
+        # lex-smaller holds the lowest vertex of their symmetric difference
+        a, b = pair
+        mask_a, mask_b = (sum(1 << v for v in members) for members in pair)
+        diff = mask_a ^ mask_b
+        assert bool(mask_a & diff & -diff) == (sorted(a) < sorted(b))
+
+
+class TestLinkCache:
+    """`is_maximal_clique` and `extenders` keep per-vertex links on the instance."""
+
+    def test_cache_leaves_the_value_unchanged(self):
+        H = random_hypergraph(9, 3, 0.7, random.Random("links"))
+        fresh = Hypergraph.from_edges(H.k, H.n, H.edges)
+        cliques = enumerate_maximal_cliques(H)
+        assert all(H.is_maximal_clique(c) for c in cliques)
+        assert "_links" in vars(H) and "_links" not in vars(fresh)
+        for other in (H, copy.copy(H), pickle.loads(pickle.dumps(H))):
+            assert other == fresh and fresh == other
+            assert hash(other) == hash(fresh)
+            assert repr(other) == repr(fresh)
+            assert {fresh: "found"}[other] == "found"
+            assert all(other.is_maximal_clique(c) for c in cliques)
+            assert not any(other.is_maximal_clique(c - {min(c)}) for c in cliques)
+        assert pickle.loads(pickle.dumps(fresh)) == H
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_extenders_match_the_definition_on_joins(self, m):
+        # many cliques grow large, so most (k-1)-subsets leave extenders standing
+        H = join_of_clique_pairs(m)
+        rng = random.Random(f"joins/{m}")
+        for clique in enumerate_maximal_cliques(H):
+            assert H.is_maximal_clique(clique)
+            for s in (clique, clique - {min(clique)}, clique - {max(clique)},
+                      frozenset(v for v in clique if rng.random() < 0.5)):
+                assert H.extenders(s) == per_vertex_extenders(H, s)
 
 
 class TestStructuralProperties:

@@ -1,7 +1,6 @@
 """Clique-size spectra of uniform hypergraphs and budgeted-tree certificates."""
 
 from .bounds import (
-    IterLogResult,
     TowerInt,
     iterated_log,
     log_star,
@@ -19,7 +18,6 @@ from .extraction import (
     completeness_implication,
     extract_tree,
     implication_trials,
-    select_representatives,
     validate_certificate,
 )
 from .hypergraphs import (
@@ -28,7 +26,6 @@ from .hypergraphs import (
     SpectrumReport,
     brute_force_maximal_cliques,
     clique_spectrum,
-    complement,
     enumerate_maximal_cliques,
     parse_hypergraph,
     random_hypergraph,

@@ -8,9 +8,11 @@ power tower 2^2^...^top with `height` twos, so height 0 is the exact value
 comparisons are three-valued: they answer only when the enclosures certify an
 order (otherwise ``None``).
 
-The module also hosts the iterated-logarithm helpers (log2 applied i times,
-log-star) and the recursive upper bound on the size of depth/degree-budgeted
-ordered trees, with its two published budget variants.
+The module also hosts the iterated-logarithm helpers (``iterated_log``, log2
+applied i times as a float, and log-star) and the recursive upper bound on the
+size of depth/degree-budgeted ordered trees, with its two published budget
+variants.  Only TowerInt.add, TowerInt.pow2 and size_recurrence take a bit cap;
+everything else works under DEFAULT_BIT_CAP.
 """
 
 from __future__ import annotations
@@ -216,14 +218,6 @@ def parse_tower_literal(text: str) -> TowerInt:
 # Iterated logarithms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IterLogResult:
-    """log2 applied `iterations` times, as a double."""
-
-    iterations: int
-    value: float
-
-
 def _one_log(cur):
     """One base-2 log step: exact on integer powers of two, float otherwise.
 
@@ -277,8 +271,8 @@ def log_star(x: "TowerInt | int") -> int:
     return _log_star_number(x)
 
 
-def iterated_log(x: "TowerInt | int", iterations: int) -> IterLogResult:
-    """Apply log2 `iterations` times; valid while the trajectory stays >= 1."""
+def iterated_log(x: "TowerInt | int", iterations: int) -> float:
+    """log2 applied `iterations` times, as a float; valid while the trajectory stays >= 1."""
     if iterations < 0:
         raise ValueError("iteration count must be nonnegative")
     if iterations > log_star(x):
@@ -295,7 +289,7 @@ def iterated_log(x: "TowerInt | int", iterations: int) -> IterLogResult:
         cur = _one_log(cur)
     if height > 0 or (isinstance(cur, int) and cur.bit_length() > 1020):
         raise ValueError("result too large for a real-valued representation")
-    return IterLogResult(iterations, float(cur))
+    return float(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +333,7 @@ def slack_lower_bound(n: "TowerInt | int") -> float:
     return math.log2(log_star(n)) - 1
 
 
-def min_slack_for(n: "TowerInt | int", bit_cap: int = DEFAULT_BIT_CAP) -> int:
+def min_slack_for(n: "TowerInt | int") -> int:
     """Smallest offset C >= 0 with n - C <= s_{2^C} in the greedy recurrence.
 
     Evaluation early-exits once a partial s_i already certifies s_i + C >= n,
@@ -351,8 +345,8 @@ def min_slack_for(n: "TowerInt | int", bit_cap: int = DEFAULT_BIT_CAP) -> int:
     for offset in itertools.count():
         s = TowerInt.from_int(1)
         for _ in range(1 << offset):
-            s = s.add(offset, bit_cap).pow2(bit_cap).add(s, bit_cap)
-            if s.add(offset, bit_cap).certainly_ge(target):
+            s = s.add(offset).pow2().add(s)
+            if s.add(offset).certainly_ge(target):
                 return offset
 
 
@@ -361,12 +355,7 @@ VARIANTS = ("claim23", "claim24")
 MAX_ROUNDS = 1 << 20  # refinement rounds one recursion level may take
 
 
-def tree_size_bound(
-    depth: int,
-    offset: "TowerInt | int",
-    variant: str = "claim23",
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> TowerInt:
+def tree_size_bound(depth: int, offset: "TowerInt | int", variant: str = "claim23") -> TowerInt:
     """Recursive upper bound on the vertex count of a (depth, offset)-budgeted tree.
 
     Depth 1 is the exact closed form 2^offset + 1.  Deeper levels peel the root:
@@ -383,7 +372,7 @@ def tree_size_bound(
         raise ValueError("depth must be >= 1")
     offset_t = as_tower(offset)
     if depth == 1:
-        return offset_t.pow2(bit_cap).add(1, bit_cap)
+        return offset_t.pow2().add(1)
     # c < bit_length(MAX_ROUNDS) iff 2^c <= MAX_ROUNDS
     if not offset_t.is_exact or offset_t.to_int() >= MAX_ROUNDS.bit_length():
         need = offset_t.describe() if offset_t.is_exact else f"(a tower of height {offset_t.height})"
@@ -397,10 +386,10 @@ def tree_size_bound(
     budget_sum = TowerInt.from_int(0)
     inner_bound = None
     for _ in range(pow2c):
-        budget_sum = budget_sum.add(budget, bit_cap)
-        inner_offset = budget_sum.add(pow2c + c, bit_cap)
+        budget_sum = budget_sum.add(budget)
+        inner_offset = budget_sum.add(pow2c + c)
         if variant == "claim24":
-            inner_offset = inner_offset.pow2(bit_cap)
-        inner_bound = tree_size_bound(depth - 1, inner_offset, variant, bit_cap)
-        budget = inner_bound.add(pow2c + c, bit_cap).pow2(bit_cap)
-    return inner_bound.add(pow2c, bit_cap)
+            inner_offset = inner_offset.pow2()
+        inner_bound = tree_size_bound(depth - 1, inner_offset, variant)
+        budget = inner_bound.add(pow2c + c).pow2()
+    return inner_bound.add(pow2c)

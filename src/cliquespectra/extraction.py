@@ -1,15 +1,16 @@
 """Tree extraction from a hypergraph's maximal-clique spectrum.
 
-Given one representative maximal clique per distinct size, sorted by
-decreasing size, the extractor grows a rooted tree one clique at a time: a
-two-step descent walks down from the root as long as some child already owns
-the new clique's slice of the current node's removed set, and attaches the
-clique where no child matches.  Each node u keeps a surviving core A_u (its
-clique intersected with its parent's core) and a removed set B_u (the rest of
-the parent's core).  The resulting tree is depth- and degree-budgeted with
-depth k-1 and offset equal to the slack C = n - #distinct sizes, and every
-identity the construction promises is re-checked by an independent validator
-that emits a machine-checkable certificate.
+``extract_tree`` picks one representative maximal clique per distinct size,
+the lex-smallest, and takes them by decreasing size.  It grows a rooted tree
+one clique at a time: a two-step descent walks down from the root as long as
+some child already owns the new clique's slice of the current node's removed
+set, and attaches the clique where no child matches.  Each node u keeps a
+surviving core A_u (its clique intersected with its parent's core) and a
+removed set B_u (the rest of the parent's core).  The resulting tree is depth-
+and degree-budgeted with depth k-1 and offset equal to the slack
+C = n - #distinct sizes, and every identity the construction promises is
+re-checked by an independent validator that emits a machine-checkable
+certificate.
 
 The module also stress-tests the union-completeness implication behind the
 distance bound.  ``completeness_implication(H, sets)`` is the validating form
@@ -28,7 +29,6 @@ from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Seque
 
 from .hypergraphs import (
     Hypergraph,
-    SpectrumReport,
     VertexSet,
     _draw_positions,
     clique_spectrum,
@@ -41,17 +41,15 @@ from .layered import LayeredParams, OrderedTree, validate_layered
 class CliqueChain:
     """Distinct-size clique representatives with their core/removed sets.
 
-    cliques[i] is the representative of the i-th largest distinct size; A and
-    B hold the per-node surviving core and removed set once a tree has been
-    extracted (None straight after selection).  C is the slack n - len(cliques)
-    allowance the caller granted.
+    cliques[i] is the representative of the i-th largest distinct size; A[i]
+    and B[i] are the surviving core and removed set of tree node i.  C is the
+    slack n - len(cliques) allowance the caller granted.
     """
 
     cliques: Tuple[VertexSet, ...]
-    A: Optional[Tuple[VertexSet, ...]]
-    B: Optional[Tuple[VertexSet, ...]]
+    A: Tuple[VertexSet, ...]
+    B: Tuple[VertexSet, ...]
     C: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -77,14 +75,18 @@ class ExtractionResult:
     certificate: Tuple[PathDecomposition, ...]
 
 
-def select_representatives(
-    spectrum: SpectrumReport, H: Hypergraph, slack: Optional[int] = None
-) -> CliqueChain:
-    """One lex-smallest maximal clique per distinct size, largest first.
+def extract_tree(H: Hypergraph, slack: Optional[int] = None) -> ExtractionResult:
+    """Run the descent construction and package the certified result.
 
-    With slack=None the tightest valid value n - #distinct sizes is used;
-    an explicit slack must leave at least n - slack distinct sizes.
+    The representatives are the lex-smallest maximal clique of each distinct
+    size, largest first.  With slack=None the tightest valid value
+    n - #distinct sizes is used; an explicit slack must leave at least
+    n - slack distinct sizes.  The output is a pure function of (H, slack).
+    A descent step requires the matching child to be unique; a tie means the
+    construction's own invariant broke, which is reported loudly as a bug,
+    never mapped to a user error.
     """
+    spectrum = clique_spectrum(H)
     distinct = spectrum.distinct_sizes
     if slack is None:
         slack = H.n - distinct
@@ -92,21 +94,7 @@ def select_representatives(
         raise ValueError(
             f"insufficient distinct sizes: {distinct} < n - C = {H.n - slack}"
         )
-    ordered = sorted(spectrum.witnesses, reverse=True)
-    cliques = tuple(spectrum.witnesses[s] for s in ordered)
-    return CliqueChain(cliques, None, None, slack, H.n)
-
-
-def extract_tree(H: Hypergraph, slack: Optional[int] = None) -> ExtractionResult:
-    """Run the descent construction and package the certified result.
-
-    The output is a pure function of (H, slack).  A descent step requires the
-    matching child to be unique; a tie means the construction's own invariant
-    broke, which is reported loudly as a bug, never mapped to a user error.
-    """
-    spectrum = clique_spectrum(H)
-    chain = select_representatives(spectrum, H, slack)
-    X = chain.cliques
+    X = tuple(spectrum.witnesses[s] for s in sorted(spectrum.witnesses, reverse=True))
     V = H.vertices
     A: List[VertexSet] = [X[0]]
     B: List[VertexSet] = [V - X[0]]
@@ -131,11 +119,11 @@ def extract_tree(H: Hypergraph, slack: Optional[int] = None) -> ExtractionResult
         A.append(A[u] & X[i])
         B.append(A[u] - X[i])
     tree = OrderedTree(tuple(parents))
-    full_chain = CliqueChain(X, tuple(A), tuple(B), chain.C, chain.n)
+    chain = CliqueChain(X, tuple(A), tuple(B), slack)
     certificate = tuple(
-        _path_decomposition(full_chain, tree, node) for node in range(1, tree.size)
+        _path_decomposition(chain, tree, node) for node in range(1, tree.size)
     )
-    return ExtractionResult(tree, full_chain, LayeredParams(H.k - 1, chain.C), certificate)
+    return ExtractionResult(tree, chain, LayeredParams(H.k - 1, slack), certificate)
 
 
 def _root_path(tree: OrderedTree, node: int) -> Tuple[int, ...]:
@@ -153,6 +141,16 @@ def _path_decomposition(chain: CliqueChain, tree: OrderedTree, node: int) -> Pat
     for i in range(1, r + 1):
         S.append(X[path[i]] & B[path[i - 1]])
     return PathDecomposition(path, tuple(S), A[path[r]] | S[r], A[path[r - 1]])
+
+
+def _partitions(pieces: Sequence[VertexSet], whole: VertexSet) -> bool:
+    """True iff the pieces are pairwise disjoint and their union is whole."""
+    union: set = set()
+    total = 0
+    for piece in pieces:
+        union |= piece
+        total += len(piece)
+    return total == len(whole) and union == whole
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +187,13 @@ def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tupl
     C = chain.C
     problems: Dict[str, List[str]] = {name: [] for name in CHECK_NAMES}
 
+    note = None
     if tree.size != t1:
-        # Structurally broken certificate: nothing clique-indexed can be trusted.
         note = f"tree has {tree.size} vertices for {t1} chain cliques"
+    elif len(chain.A) != t1 or len(chain.B) != t1:
+        note = f"chain has {len(chain.A)} A and {len(chain.B)} B sets for {t1} cliques"
+    if note:
+        # Structurally broken certificate: nothing clique-indexed can be trusted.
         problems["stored_matches_derived"].append(note)
         for name in CHECK_NAMES[:-1]:
             problems[name].append(f"not evaluated: {note}")
@@ -218,20 +220,15 @@ def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tupl
         A.append(A[p] & X[i])
         B.append(A[p] - X[i])
 
-    if chain.A is None or chain.B is None:
-        problems["sets_definitions"].append("chain carries no A/B sets")
-    else:
-        if chain.A[0] != X[0] or chain.B[0] != V - X[0]:
-            problems["sets_definitions"].append("root sets are not V(X_0) and its complement")
-        for i in range(1, t1):
-            p = tree.parent(i)
-            if chain.A[i] != chain.A[p] & X[i]:
-                problems["sets_definitions"].append(f"A_{i} != A_parent & V(X_{i})")
-            if chain.B[i] != chain.A[p] - chain.A[i]:
-                problems["sets_definitions"].append(f"B_{i} != A_parent \\ A_{i}")
-
-    stored_A = chain.A if chain.A is not None else tuple(A)
-    stored_B = chain.B if chain.B is not None else tuple(B)
+    stored_A, stored_B = chain.A, chain.B
+    if stored_A[0] != X[0] or stored_B[0] != V - X[0]:
+        problems["sets_definitions"].append("root sets are not V(X_0) and its complement")
+    for i in range(1, t1):
+        p = tree.parent(i)
+        if stored_A[i] != stored_A[p] & X[i]:
+            problems["sets_definitions"].append(f"A_{i} != A_parent & V(X_{i})")
+        if stored_B[i] != stored_A[p] - stored_A[i]:
+            problems["sets_definitions"].append(f"B_{i} != A_parent \\ A_{i}")
 
     for i in range(t1):
         if stored_B[i] & X[i]:
@@ -252,7 +249,7 @@ def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tupl
             seen[piece] = w
 
     derived_paths = tuple(
-        _path_decomposition(CliqueChain(X, tuple(A), tuple(B), C, H.n), tree, node)
+        _path_decomposition(CliqueChain(X, tuple(A), tuple(B), C), tree, node)
         for node in range(1, tree.size)
     )
     if len(result.certificate) != len(derived_paths):
@@ -265,7 +262,7 @@ def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tupl
                 problems["stored_matches_derived"].append(
                     f"stored path for node {derived.path[-1]} disagrees with re-derivation"
                 )
-    if chain.A is not None and (tuple(chain.A) != tuple(A) or tuple(chain.B) != tuple(B)):
+    if tuple(stored_A) != tuple(A) or tuple(stored_B) != tuple(B):
         problems["stored_matches_derived"].append("stored A/B disagree with re-derivation")
     if result.params != LayeredParams(H.k - 1, C):
         problems["stored_matches_derived"].append("stored params are not (k-1, C)")
@@ -295,23 +292,12 @@ def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tupl
                 if pd.S[i] & pd.S[j]:
                     problems["slices_disjoint"].append(f"node {node}: S_{i} meets S_{j}")
         pieces = [stored_A[y[r]]] + [stored_B[y[j]] for j in range(r, -1, -1)]
-        union: set = set()
-        total = 0
-        for piece in pieces:
-            union |= piece
-            total += len(piece)
-        if union != set(V) or total != H.n:
+        if not _partitions(pieces, V):
             problems["path_partition"].append(
                 f"node {node}: A_yr with the B sets along the path do not partition V"
             )
         for j in range(1, r + 1):
-            parts = [stored_A[y[j]]] + [pd.S[i] for i in range(1, j + 1)]
-            union = set()
-            total = 0
-            for piece in parts:
-                union |= piece
-                total += len(piece)
-            if union != set(X[y[j]]) or total != len(X[y[j]]):
+            if not _partitions([stored_A[y[j]]] + list(pd.S[1:j + 1]), X[y[j]]):
                 problems["clique_decomposition"].append(
                     f"node {node}: V(X_{{y_{j}}}) is not A plus the first {j} slices"
                 )

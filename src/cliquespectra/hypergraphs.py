@@ -10,8 +10,9 @@ finish.  ``_link`` builds the engine's link table in one pass over the edge
 tuples, and one Bron-Kerbosch recursion (``_bron_kerbosch``) returns the mask
 of every maximal clique.  ``clique_spectrum`` reads sizes with ``bit_count``
 and picks each size's lex-least witness by comparing masks, so only the
-witnesses become frozensets; ``enumerate_maximal_cliques`` is the lex-ordered
-listing API.
+witnesses become frozensets.  Its report stores the sizes and the witnesses;
+``distinct_sizes`` is derived, the number of witnesses.
+``enumerate_maximal_cliques`` is the lex-ordered listing API.
 
 Maximality (``is_maximal_clique``, ``extenders``) shares no code or data with
 the engine: it tests a set against per-vertex links (``Hypergraph._links``,
@@ -49,11 +50,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def complement(members: Iterable[int], n: int) -> VertexSet:
-    """Vertices of {0..n-1} not in `members`."""
-    return frozenset(range(n)) - frozenset(members)
 
 
 def _check_shape(k: int, n: int) -> None:
@@ -150,12 +146,11 @@ class SpectrumReport:
     """Sizes of all maximal cliques plus one lex-smallest witness per size."""
 
     sizes: Tuple[int, ...]  # descending, one entry per maximal clique
-    distinct_sizes: int
     witnesses: dict = field(compare=False)
 
-    def __post_init__(self):
-        if self.distinct_sizes != len(set(self.sizes)):
-            raise ValueError("distinct_sizes does not match sizes")
+    @property
+    def distinct_sizes(self) -> int:
+        return len(self.witnesses)
 
 
 def _link(H: Hypergraph):
@@ -291,7 +286,7 @@ def clique_spectrum(H: Hypergraph) -> SpectrumReport:
             least[size] = mask
     witnesses = {size: frozenset(_members(least[size])) for size in sorted(least)}
     sizes.sort(reverse=True)
-    return SpectrumReport(tuple(sizes), len(witnesses), witnesses)
+    return SpectrumReport(tuple(sizes), witnesses)
 
 
 @functools.lru_cache(maxsize=8)

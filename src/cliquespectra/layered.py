@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Tuple
 
-from .bounds import DEFAULT_BIT_CAP, TowerInt, size_recurrence, tree_size_bound
+from .bounds import TowerInt, size_recurrence, tree_size_bound
 from .hypergraphs import ParseError
 
 
@@ -166,7 +166,7 @@ class MaxTreeSize:
     exactness: str  # "exact" or "upper_bound"
 
 
-def max_layered_size(params: LayeredParams, bit_cap: int = DEFAULT_BIT_CAP) -> MaxTreeSize:
+def max_layered_size(params: LayeredParams) -> MaxTreeSize:
     """Largest vertex count any (depth, offset)-budgeted tree can reach.
 
     Exact closed forms exist for depth 1 (2^offset + 1: a star at the root)
@@ -174,15 +174,18 @@ def max_layered_size(params: LayeredParams, bit_cap: int = DEFAULT_BIT_CAP) -> M
     get the recursive upper bound, flagged as such.
     """
     if params.depth == 1:
-        return MaxTreeSize(tree_size_bound(1, params.offset, "claim23", bit_cap), "exact")
+        return MaxTreeSize(tree_size_bound(1, params.offset), "exact")
     if params.depth == 2:
         if params.offset > 20:
             raise ValueError(f"depth-2 maximum needs 2^{params.offset} recurrence steps")
-        return MaxTreeSize(size_recurrence(params.offset, 1 << params.offset, bit_cap), "exact")
-    return MaxTreeSize(tree_size_bound(params.depth, params.offset, "claim23", bit_cap), "upper_bound")
+        return MaxTreeSize(size_recurrence(params.offset, 1 << params.offset), "exact")
+    return MaxTreeSize(tree_size_bound(params.depth, params.offset), "upper_bound")
 
 
-def build_greedy_max_tree(offset: int, cap: int = 1_000_000) -> OrderedTree:
+GREEDY_TREE_CAP = 1_000_000  # build_greedy_max_tree refuses trees past this many vertices
+
+
+def build_greedy_max_tree(offset: int) -> OrderedTree:
     """Largest depth-2 tree for the given offset, in DFS insertion order.
 
     The root takes its full budget of 2^offset children; each child is
@@ -192,9 +195,9 @@ def build_greedy_max_tree(offset: int, cap: int = 1_000_000) -> OrderedTree:
     if offset < 0:
         raise ValueError("offset must be >= 0")
     target = size_recurrence(offset, 1 << offset) if offset <= 20 else None
-    if target is None or not target.is_exact or target.to_int() > cap:
+    if target is None or not target.is_exact or target.to_int() > GREEDY_TREE_CAP:
         size = target.describe() if target is not None else f"s_(2^{offset})"
-        raise ValueError(f"tree would need {size} vertices, over the cap of {cap}")
+        raise ValueError(f"tree would need {size} vertices, over the cap of {GREEDY_TREE_CAP}")
     parents: List[int] = []
     count = 1
     for _ in range(1 << offset):

@@ -373,20 +373,18 @@ def exhaustive_g_sharded(
     k: int,
     num_shards: int,
     checkpoint_path: Optional[str] = None,
-    max_shards_this_run: Optional[int] = None,
-) -> Optional[Tuple[int, Hypergraph]]:
+) -> Tuple[int, Hypergraph]:
     """Scan all shards (skipping checkpointed ones), merging deterministically.
 
-    Returns None when max_shards_this_run stops the scan early (the
-    checkpoint then carries the partial state for a later resume).
+    A partial checkpoint, such as single-shard runs (search-g --shard i) leave
+    behind, resumes with its done shards skipped.
     """
     ranges = shard_ranges(n, k, num_shards)
     cp = open_checkpoint(checkpoint_path, n, k, ranges)
     done = set(cp.shards_done)
-    for ran, (lo, hi) in enumerate(r for r in ranges if r not in done):
-        if max_shards_this_run is not None and ran >= max_shards_this_run:
-            return None
-        record_shard(cp, run_shard(n, k, lo, hi), checkpoint_path)
+    for lo, hi in ranges:
+        if (lo, hi) not in done:
+            record_shard(cp, run_shard(n, k, lo, hi), checkpoint_path)
     return cp.best, _checked_witness(n, k, cp.best, cp.witness_edge_index)
 
 

@@ -144,25 +144,26 @@ class TestIteratedLogs:
 
     def test_iterated_log_on_point_tower(self):
         tall = parse_tower_literal("2^2^2^2^2^16")
-        assert iterated_log(tall, tall.height + 1).value == 65536.0
+        assert iterated_log(tall, tall.height + 1) == 65536.0
         with pytest.raises(ValueError, match="too large"):
             iterated_log(tall, 0)
 
     def test_iterated_log_examples(self):
-        assert iterated_log(16, 2).value == 2.0
-        assert iterated_log(16, 0).value == 16.0
-        assert iterated_log(1 << 16, 3).value == 2.0
+        assert iterated_log(16, 2) == 2.0
+        assert iterated_log(16, 0) == 16.0
+        assert type(iterated_log(16, 0)) is float
+        assert iterated_log(1 << 16, 3) == 2.0
 
     def test_iterated_log_domain_error(self):
-        assert iterated_log(16, 4).value == 0.0
+        assert iterated_log(16, 4) == 0.0
         with pytest.raises(ValueError):
             iterated_log(16, 5)
 
     def test_log_star_brackets_one(self):
         for x in (2, 3, 5, 16, 17, 65535, 65536, 10**9, 2**65536 - 1):
             s = log_star(x)
-            assert iterated_log(x, s).value < 1
-            assert iterated_log(x, s - 1).value >= 1
+            assert iterated_log(x, s) < 1
+            assert iterated_log(x, s - 1) >= 1
 
 
 class TestSlackBounds:

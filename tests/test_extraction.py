@@ -15,7 +15,7 @@ from cliquespectra.extraction import (
     completeness_implication,
     extract_tree,
     implication_trials,
-    select_representatives,
+    run_certificate_checks,
     validate_certificate,
 )
 from cliquespectra.hypergraphs import (
@@ -42,27 +42,30 @@ def all_hypergraphs(k, n):
 
 
 class TestSelectRepresentatives:
+    """extract_tree's representatives: the lex-smallest clique of each size."""
+
     def test_complete_graph_auto(self):
-        H = complete_graph(3, 5)
-        chain = select_representatives(clique_spectrum(H), H)
+        chain = extract_tree(complete_graph(3, 5)).chain
         assert len(chain.cliques) == 1
         assert chain.C == 4  # n - 1
 
     def test_single_edge_auto(self):
-        chain = select_representatives(clique_spectrum(SINGLE_EDGE), SINGLE_EDGE)
+        chain = extract_tree(SINGLE_EDGE).chain
         assert chain.cliques == (frozenset({0, 1, 2}), frozenset({0, 3}))
         assert chain.C == 2
 
     def test_insufficient_distinct_sizes(self):
         H = Hypergraph.from_edges(3, 3, [])
         with pytest.raises(ValueError, match="insufficient"):
-            select_representatives(clique_spectrum(H), H, 1)
+            extract_tree(H, 1)
 
     def test_sizes_strictly_decreasing_and_bounded(self):
         rng = random.Random(1)
         for _ in range(100):
             H = random_hypergraph(rng.randint(2, 9), 3, rng.random(), rng)
-            chain = select_representatives(clique_spectrum(H), H)
+            chain = extract_tree(H).chain
+            spectrum = clique_spectrum(H)
+            assert chain.cliques == tuple(spectrum.witnesses[s] for s in sorted(spectrum.witnesses)[::-1])
             sizes = [len(c) for c in chain.cliques]
             assert sizes == sorted(set(sizes), reverse=True)
             for i, s in enumerate(sizes):
@@ -181,6 +184,69 @@ class TestValidateCertificate:
         tampered = dataclasses.replace(result, tree=flat)
         violations = validate_certificate(tampered, H)
         assert violations  # re-derivation cannot match a rewired tree
+
+    def test_short_chain_sets_are_reported(self):
+        # an A or B list shorter than the cliques is as broken as a wrong-sized tree
+        H = Hypergraph.from_edges(
+            3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 3)]
+        )
+        result = extract_tree(H)
+        chain = result.chain
+        for short, note in (
+            (dataclasses.replace(chain, A=chain.A[:-1]), "chain has 2 A and 3 B sets for 3 cliques"),
+            (dataclasses.replace(chain, B=chain.B[:-1]), "chain has 3 A and 2 B sets for 3 cliques"),
+        ):
+            checks = run_certificate_checks(dataclasses.replace(result, chain=short), H)
+            assert checks == [
+                (name, [note] if name == "stored_matches_derived" else [f"not evaluated: {note}"])
+                for name in extraction.CHECK_NAMES
+            ]
+
+    def test_every_tampering_is_caught(self):
+        """Six single-field tamperings of each certified result: a rewired
+        parent, a vertex flipped in one A or B set, in one path's S slice or U,
+        in one clique, a shifted C and replaced params.  Each one that changes
+        the result must make the certificate fail."""
+        rng = random.Random(7)
+
+        def flip(s):
+            return s ^ {rng.randrange(H.n)}
+
+        def flip_one(sets):
+            i = rng.randrange(len(sets))
+            return sets[:i] + (flip(sets[i]),) + sets[i + 1:]
+
+        changed = 0
+        for _ in range(300):
+            k = rng.choice([2, 3, 4])
+            H = random_hypergraph(rng.randint(1, 10), k, rng.random(), rng)
+            result = extract_tree(H)
+            assert validate_certificate(result, H) == []
+            chain, tree, paths = result.chain, result.tree, result.certificate
+            shift = rng.choice((-1, 1)) if chain.C else 1  # the validator needs C >= 0
+            tamperings = [
+                dataclasses.replace(result, chain=dataclasses.replace(chain, C=chain.C + shift)),
+                dataclasses.replace(result, params=LayeredParams(rng.randint(1, 4), rng.randint(0, 5))),
+                dataclasses.replace(result, chain=dataclasses.replace(chain, cliques=flip_one(chain.cliques))),
+            ]
+            field = rng.choice(("A", "B"))
+            sets = flip_one(getattr(chain, field))
+            tamperings.append(dataclasses.replace(result, chain=dataclasses.replace(chain, **{field: sets})))
+            if tree.size > 1:
+                i = rng.randrange(1, tree.size)
+                parents = list(tree.parents)
+                parents[i - 1] = rng.randrange(i)
+                tamperings.append(dataclasses.replace(result, tree=OrderedTree(tuple(parents))))
+                j = rng.randrange(len(paths))
+                pd = paths[j]
+                pd = (dataclasses.replace(pd, S=flip_one(pd.S)) if rng.randrange(2)
+                      else dataclasses.replace(pd, U=flip(pd.U)))
+                tamperings.append(dataclasses.replace(result, certificate=paths[:j] + (pd,) + paths[j + 1:]))
+            for tampered in tamperings:
+                if tampered != result:
+                    changed += 1
+                    assert validate_certificate(tampered, H), tampered
+        assert changed > 1000
 
     def test_document_shape(self):
         doc = certificate_document(extract_tree(SINGLE_EDGE), SINGLE_EDGE)

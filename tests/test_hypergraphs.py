@@ -14,7 +14,6 @@ from cliquespectra.hypergraphs import (
     _draw_positions,
     brute_force_maximal_cliques,
     clique_spectrum,
-    complement,
     edge_universe,
     enumerate_maximal_cliques,
     parse_hypergraph,
@@ -395,9 +394,6 @@ class TestConstruction:
     def test_k_larger_than_n_allowed(self):
         H = Hypergraph.from_edges(4, 2, [])
         assert enumerate_maximal_cliques(H) == [frozenset({0, 1})]
-
-    def test_complement_helper(self):
-        assert complement({0, 2}, 4) == frozenset({1, 3})
 
     def test_canonical_producers_match_validating_oracle(self):
         """random_hypergraph, the parser and hypergraph_from_edge_index skip

@@ -25,6 +25,8 @@ from cliquespectra.search import (
     hypergraph_from_edge_index,
     load_checkpoint,
     merge_shards,
+    open_checkpoint,
+    record_shard,
     run_shard,
     save_checkpoint,
     scan_range,
@@ -215,11 +217,13 @@ class TestSharding:
             run_shard(5, 3, 0, 2**10 + 1)
 
     def test_checkpoint_interrupt_and_resume(self, tmp_path):
+        # two single-shard runs leave a partial checkpoint, as search-g --shard i does
         path = str(tmp_path / "scan.json")
-        partial = exhaustive_g_sharded(5, 3, 4, path, max_shards_this_run=2)
-        assert partial is None
+        ranges = shard_ranges(5, 3, 4)
+        for lo, hi in ranges[:2]:
+            record_shard(open_checkpoint(path, 5, 3, ranges), run_shard(5, 3, lo, hi), path)
         cp = load_checkpoint(path)
-        assert len(cp.shards_done) == 2
+        assert cp.shards_done == ranges[:2]
         resumed_g, resumed_w = exhaustive_g_sharded(5, 3, 4, path)
         full_g, full_w = exhaustive_g(5, 3)
         assert (resumed_g, resumed_w) == (full_g, full_w)
@@ -257,7 +261,8 @@ class TestSharding:
             raise AssertionError("scanned before the checkpoint was checked against the plan")
 
         path = tmp_path / "cp.json"
-        exhaustive_g_sharded(5, 3, 4, str(path), max_shards_this_run=1)
+        ranges = shard_ranges(5, 3, 4)
+        record_shard(open_checkpoint(str(path), 5, 3, ranges), run_shard(5, 3, *ranges[0]), str(path))
         text = path.read_text(encoding="utf-8")
         monkeypatch.setattr(search, "scan_range", no_scan)
         with pytest.raises(ValueError) as refusal:

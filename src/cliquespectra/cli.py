@@ -202,11 +202,10 @@ def _cmd_extract_tree(args) -> int:
     ok = all(check["pass"] for check in doc["checks"])
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     print(f"chain of {result.tree.size} cliques, slack C = {result.chain.C}")
     print(f"tree parents: {list(result.tree.parents)}")
-    print(f"budget check: depth <= {result.params.depth}, degree of v_i <= 2^({result.params.offset}+i)")
+    print(f"budget check: depth <= {H.k - 1}, degree of v_i <= 2^({result.chain.C}+i)")
     for check in doc["checks"]:
         mark = "ok" if check["pass"] else "FAIL"
         detail = f" ({check['detail']})" if check["detail"] else ""

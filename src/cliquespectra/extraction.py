@@ -10,7 +10,11 @@ removed set B_u (the rest of the parent's core).  The resulting tree is depth-
 and degree-budgeted with depth k-1 and offset equal to the slack
 C = n - #distinct sizes, and every identity the construction promises is
 re-checked by an independent validator that emits a machine-checkable
-certificate.
+certificate.  An explicit slack above that C certifies the same tree for the
+looser budgets.  The validator never raises on a result whose fields have
+their declared types: one gate decides first whether it can be evaluated at
+all, and a malformed one gets a single structural note in place of every
+check.
 
 The module also stress-tests the union-completeness implication behind the
 distance bound.  ``completeness_implication(H, sets)`` is the validating form
@@ -71,7 +75,6 @@ class PathDecomposition:
 class ExtractionResult:
     tree: OrderedTree
     chain: CliqueChain
-    params: LayeredParams
     certificate: Tuple[PathDecomposition, ...]
 
 
@@ -119,11 +122,10 @@ def extract_tree(H: Hypergraph, slack: Optional[int] = None) -> ExtractionResult
         A.append(A[u] & X[i])
         B.append(A[u] - X[i])
     tree = OrderedTree(tuple(parents))
-    chain = CliqueChain(X, tuple(A), tuple(B), slack)
     certificate = tuple(
-        _path_decomposition(chain, tree, node) for node in range(1, tree.size)
+        _path_decomposition(X, A, B, tree, node) for node in range(1, tree.size)
     )
-    return ExtractionResult(tree, chain, LayeredParams(H.k - 1, slack), certificate)
+    return ExtractionResult(tree, CliqueChain(X, tuple(A), tuple(B), slack), certificate)
 
 
 def _root_path(tree: OrderedTree, node: int) -> Tuple[int, ...]:
@@ -133,8 +135,8 @@ def _root_path(tree: OrderedTree, node: int) -> Tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def _path_decomposition(chain: CliqueChain, tree: OrderedTree, node: int) -> PathDecomposition:
-    X, A, B = chain.cliques, chain.A, chain.B
+def _path_decomposition(X: Sequence[VertexSet], A: Sequence[VertexSet], B: Sequence[VertexSet],
+                        tree: OrderedTree, node: int) -> PathDecomposition:
     path = _root_path(tree, node)
     r = len(path) - 1
     S: List[VertexSet] = [frozenset()]
@@ -178,26 +180,48 @@ CHECK_NAMES = (
 )
 
 
+def _shape_problem(result: ExtractionResult, H: Hypergraph) -> Optional[str]:
+    """The first reason the result cannot be evaluated against H, or None.
+
+    Past this gate every index the checks take is in range, C is a valid
+    degree offset and every clique lies inside V(H), so no check raises.
+    """
+    chain, tree = result.chain, result.tree
+    t1 = len(chain.cliques)
+    if tree.size != t1:
+        return f"tree has {tree.size} vertices for {t1} chain cliques"
+    if len(chain.A) != t1 or len(chain.B) != t1:
+        return f"chain has {len(chain.A)} A and {len(chain.B)} B sets for {t1} cliques"
+    if type(chain.C) is not int or chain.C < 0:
+        return f"C = {chain.C!r} is not an integer >= 0"
+    V = H.vertices
+    for i, clique in enumerate(chain.cliques):
+        if not clique <= V:
+            return f"X_{i} has a vertex outside 0..{H.n - 1}"
+    if len(result.certificate) != t1 - 1:
+        return f"{len(result.certificate)} stored paths for {t1 - 1} non-root nodes"
+    for node, pd in enumerate(result.certificate, start=1):
+        if pd.path != _root_path(tree, node):
+            return f"stored path {list(pd.path)} is not the root path of node {node}"
+        if len(pd.S) != len(pd.path):
+            return f"stored path of node {node} has {len(pd.S)} slices for {len(pd.path)} path nodes"
+    return None
+
+
 def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tuple[str, List[str]]]:
     """All named checks with their violation lists (empty = pass), fixed order."""
+    note = _shape_problem(result, H)
+    if note:
+        # Structurally broken certificate: nothing clique-indexed can be trusted.
+        return [(name, [note] if name == "stored_matches_derived" else [f"not evaluated: {note}"])
+                for name in CHECK_NAMES]
+
+    problems: Dict[str, List[str]] = {name: [] for name in CHECK_NAMES}
     chain, tree = result.chain, result.tree
     X = chain.cliques
     t1 = len(X)
     V = H.vertices
     C = chain.C
-    problems: Dict[str, List[str]] = {name: [] for name in CHECK_NAMES}
-
-    note = None
-    if tree.size != t1:
-        note = f"tree has {tree.size} vertices for {t1} chain cliques"
-    elif len(chain.A) != t1 or len(chain.B) != t1:
-        note = f"chain has {len(chain.A)} A and {len(chain.B)} B sets for {t1} cliques"
-    if note:
-        # Structurally broken certificate: nothing clique-indexed can be trusted.
-        problems["stored_matches_derived"].append(note)
-        for name in CHECK_NAMES[:-1]:
-            problems[name].append(f"not evaluated: {note}")
-        return [(name, problems[name]) for name in CHECK_NAMES]
 
     for i, clique in enumerate(X):
         if not H.is_maximal_clique(clique):
@@ -248,40 +272,16 @@ def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tupl
                 )
             seen[piece] = w
 
-    derived_paths = tuple(
-        _path_decomposition(CliqueChain(X, tuple(A), tuple(B), C), tree, node)
-        for node in range(1, tree.size)
-    )
-    if len(result.certificate) != len(derived_paths):
-        problems["stored_matches_derived"].append(
-            f"certificate has {len(result.certificate)} paths, expected {len(derived_paths)}"
-        )
-    else:
-        for stored, derived in zip(result.certificate, derived_paths):
-            if stored != derived:
-                problems["stored_matches_derived"].append(
-                    f"stored path for node {derived.path[-1]} disagrees with re-derivation"
-                )
+    for node, stored in enumerate(result.certificate, start=1):
+        if stored != _path_decomposition(X, A, B, tree, node):
+            problems["stored_matches_derived"].append(
+                f"stored path for node {node} disagrees with re-derivation"
+            )
     if tuple(stored_A) != tuple(A) or tuple(stored_B) != tuple(B):
         problems["stored_matches_derived"].append("stored A/B disagree with re-derivation")
-    if result.params != LayeredParams(H.k - 1, C):
-        problems["stored_matches_derived"].append("stored params are not (k-1, C)")
 
     for pd in result.certificate:
         y = pd.path
-        malformed = (
-            len(y) < 2
-            or y[0] != 0
-            or any(not 0 <= v < t1 for v in y)
-            or any(v == 0 for v in y[1:])
-            or any(tree.parent(y[i]) != y[i - 1] for i in range(1, len(y)))
-            or len(pd.S) != len(y)
-        )
-        if malformed:
-            problems["stored_matches_derived"].append(
-                f"stored path {list(y)} is not a root path of the tree"
-            )
-            continue
         r = len(y) - 1
         node = y[-1]
         for i in range(1, r + 1):
@@ -321,8 +321,7 @@ def run_certificate_checks(result: ExtractionResult, H: Hypergraph) -> List[Tupl
                     f"node {node}: U, W and the other slices leak out of V(X_{{y_{j - 1}}})"
                 )
 
-    params = LayeredParams(H.k - 1, C)
-    for violation in validate_layered(tree, params):
+    for violation in validate_layered(tree, LayeredParams(H.k - 1, C)):
         key = "distance_bound" if violation.condition == "depth" else "degree_bound"
         problems[key].append(str(violation))
 

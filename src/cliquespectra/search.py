@@ -85,7 +85,6 @@ class SpectrumScanner:
     def __init__(self, n: int, k: int):
         _check_scan_size(n, k)
         self.n = n
-        self.k = k
         self.bits = math.comb(n, k)
         self.width = max(0, min(BLOCK_BITS, self.bits, LANE_TABLE_BITS - n))
         self.patterns = []  # bit j over lanes 0, 1, ...: runs of 2^j zeros and 2^j ones
@@ -405,8 +404,6 @@ class MoonMoserReport:
     alongside.
     """
 
-    n: int
-    g_value: int
     upper_bound: int
     upper_ok: bool
     lower_bound: Optional[float]
@@ -424,7 +421,7 @@ def check_moon_moser(n: int, g_value: int) -> MoonMoserReport:
     if n >= 4:
         lower = n - math.log2(n) - 2 * math.log2(math.log2(n))
         lower_ok = lower < g_value
-    return MoonMoserReport(n, g_value, upper, g_value <= upper, lower, lower_ok)
+    return MoonMoserReport(upper, g_value <= upper, lower, lower_ok)
 
 
 DROP_ODDS = 50  # a drop, the one move that loses a member, is kept once in 50

@@ -24,7 +24,7 @@ from cliquespectra.hypergraphs import (
     edge_universe,
     random_hypergraph,
 )
-from cliquespectra.layered import LayeredParams, OrderedTree
+from cliquespectra.layered import OrderedTree
 
 SINGLE_EDGE = Hypergraph.from_edges(3, 4, [(0, 1, 2)])
 
@@ -85,7 +85,6 @@ class TestExtractTree:
         assert result.tree.parents == (0,)
         assert result.chain.A[1] == frozenset({0})
         assert result.chain.B[1] == frozenset({1, 2})
-        assert result.params == LayeredParams(2, 2)
         assert validate_certificate(result, SINGLE_EDGE) == []
 
     def test_all_triples_but_one(self):
@@ -169,9 +168,7 @@ class TestValidateCertificate:
         assert result.tree.parents == (0, 0)
         # shrink the slack to 0 by hand: the root's two children now exceed 2^0
         bad_chain = dataclasses.replace(result.chain, C=0)
-        tampered = ExtractionResult(
-            result.tree, bad_chain, LayeredParams(1, 0), result.certificate
-        )
+        tampered = ExtractionResult(result.tree, bad_chain, result.certificate)
         violations = validate_certificate(tampered, H)
         assert any("degree_bound" in v for v in violations)
 
@@ -186,27 +183,52 @@ class TestValidateCertificate:
         assert violations  # re-derivation cannot match a rewired tree
 
     def test_short_chain_sets_are_reported(self):
-        # an A or B list shorter than the cliques is as broken as a wrong-sized tree
+        # every result the validator cannot evaluate gets one structural note
         H = Hypergraph.from_edges(
             3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 3)]
         )
         result = extract_tree(H)
         chain = result.chain
-        for short, note in (
-            (dataclasses.replace(chain, A=chain.A[:-1]), "chain has 2 A and 3 B sets for 3 cliques"),
-            (dataclasses.replace(chain, B=chain.B[:-1]), "chain has 3 A and 2 B sets for 3 cliques"),
-        ):
-            checks = run_certificate_checks(dataclasses.replace(result, chain=short), H)
+        cases = [
+            (H, dataclasses.replace(result, chain=dataclasses.replace(chain, A=chain.A[:-1])),
+             "chain has 2 A and 3 B sets for 3 cliques"),
+            (H, dataclasses.replace(result, chain=dataclasses.replace(chain, B=chain.B[:-1])),
+             "chain has 3 A and 2 B sets for 3 cliques"),
+        ]
+        # the 6-vertex graph of test_root_degree_forged_above_budget: sizes 3, 2, 1, C = 3
+        H = Hypergraph.from_edges(2, 6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        result = extract_tree(H)
+        chain, paths = result.chain, result.certificate
+        assert [pd.path for pd in paths] == [(0, 1), (0, 2)]
+        cases += [
+            (H, dataclasses.replace(result, chain=dataclasses.replace(chain, C=-1)),
+             "C = -1 is not an integer >= 0"),
+            (H, dataclasses.replace(result, chain=dataclasses.replace(chain, C=0.5)),
+             "C = 0.5 is not an integer >= 0"),
+            (H, dataclasses.replace(result, chain=dataclasses.replace(
+                chain, cliques=(chain.cliques[0] | {9},) + chain.cliques[1:])),
+             "X_0 has a vertex outside 0..5"),
+            (H, dataclasses.replace(result, certificate=paths[:-1]),
+             "1 stored paths for 2 non-root nodes"),
+            (H, dataclasses.replace(result, certificate=(
+                dataclasses.replace(paths[0], S=paths[0].S[:-1]), paths[1])),
+             "stored path of node 1 has 1 slices for 2 path nodes"),
+            (H, dataclasses.replace(result, certificate=(paths[0], paths[0])),
+             "stored path [0, 1] is not the root path of node 2"),
+        ]
+        for graph, broken, note in cases:
+            checks = run_certificate_checks(broken, graph)
             assert checks == [
                 (name, [note] if name == "stored_matches_derived" else [f"not evaluated: {note}"])
                 for name in extraction.CHECK_NAMES
             ]
 
     def test_every_tampering_is_caught(self):
-        """Six single-field tamperings of each certified result: a rewired
+        """Single-field tamperings of each certified result: a rewired
         parent, a vertex flipped in one A or B set, in one path's S slice or U,
-        in one clique, a shifted C and replaced params.  Each one that changes
-        the result must make the certificate fail."""
+        or in one clique, a clique vertex set to n, and C lowered by one.  Each
+        one that changes the result must make the certificate fail.  C raised
+        by one is a genuine certificate for the looser slack."""
         rng = random.Random(7)
 
         def flip(s):
@@ -223,11 +245,16 @@ class TestValidateCertificate:
             result = extract_tree(H)
             assert validate_certificate(result, H) == []
             chain, tree, paths = result.chain, result.tree, result.certificate
-            shift = rng.choice((-1, 1)) if chain.C else 1  # the validator needs C >= 0
+            looser = dataclasses.replace(result, chain=dataclasses.replace(chain, C=chain.C + 1))
+            assert validate_certificate(looser, H) == []
+            assert looser == extract_tree(H, chain.C + 1)
+            i = rng.randrange(len(chain.cliques))
+            moved = chain.cliques[i] - {rng.choice(sorted(chain.cliques[i]))} | {H.n}
             tamperings = [
-                dataclasses.replace(result, chain=dataclasses.replace(chain, C=chain.C + shift)),
-                dataclasses.replace(result, params=LayeredParams(rng.randint(1, 4), rng.randint(0, 5))),
+                dataclasses.replace(result, chain=dataclasses.replace(chain, C=chain.C - 1)),
                 dataclasses.replace(result, chain=dataclasses.replace(chain, cliques=flip_one(chain.cliques))),
+                dataclasses.replace(result, chain=dataclasses.replace(
+                    chain, cliques=chain.cliques[:i] + (moved,) + chain.cliques[i + 1:])),
             ]
             field = rng.choice(("A", "B"))
             sets = flip_one(getattr(chain, field))

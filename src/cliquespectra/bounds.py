@@ -1,7 +1,7 @@
 """Tower arithmetic and quantitative bounds.
 
-Natural numbers are kept exact (arbitrary precision) while they fit under a
-configurable bit cap; past the cap they escalate to certified enclosures.
+Natural numbers are kept exact (arbitrary precision) while they fit in
+BIT_CAP = 2^20 bits; past the cap they escalate to certified enclosures.
 Each end of an enclosure is one shape, a pair (height, top) standing for the
 power tower 2^2^...^top with `height` twos, so height 0 is the exact value
 `top`.  Every operation preserves ``lower <= true value <= upper``, and
@@ -11,8 +11,7 @@ order (otherwise ``None``).
 The module also hosts the iterated-logarithm helpers (``iterated_log``, log2
 applied i times as a float, and log-star) and the recursive upper bound on the
 size of depth/degree-budgeted ordered trees, with its two published budget
-variants.  Only TowerInt.add, TowerInt.pow2 and size_recurrence take a bit cap;
-everything else works under DEFAULT_BIT_CAP.
+variants.
 """
 
 from __future__ import annotations
@@ -23,18 +22,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-DEFAULT_BIT_CAP = 1 << 20
+BIT_CAP = 1 << 20
 
 # A bound is a pair (height, top) standing for 2^2^...^2^top with `height`
 # twos; height 0 is the exact int top.  Canonical bounds keep height 0 while
-# the value fits under the bit cap they were built with, so a tower's top is
-# too large to materialize under that cap.
+# the value fits in BIT_CAP bits, so a tower's top is at least BIT_CAP: 2^top
+# would not fit.
 Bound = Tuple[int, int]
 
 
-def _canon(height: int, top: int, bit_cap: int) -> Bound:
+def _canon(height: int, top: int) -> Bound:
     """Collapse a (height, top) tower towards height 0 while it fits the cap."""
-    while height > 0 and top < bit_cap:
+    while height > 0 and top < BIT_CAP:
         top = 1 << top  # top+1 bits, still within the cap
         height -= 1
     return (height, top)
@@ -68,15 +67,15 @@ def _bump(b: Bound) -> Bound:
     return (height, top + 1) if height else (0, 2 * top)
 
 
-def _enclose(value: int, bit_cap: int) -> Tuple[Bound, Bound]:
+def _enclose(value: int) -> Tuple[Bound, Bound]:
     """An exact int while it fits the cap, else the adjacent powers of two around it."""
-    if value.bit_length() <= bit_cap:
+    if value.bit_length() <= BIT_CAP:
         return (0, value), (0, value)
     floor_exp = value.bit_length() - 1
-    lo = _canon(1, floor_exp, bit_cap)
+    lo = (1, floor_exp)  # canonical: floor_exp >= BIT_CAP
     if value & (value - 1) == 0:
         return lo, lo
-    return lo, _canon(1, floor_exp + 1, bit_cap)
+    return lo, (1, floor_exp + 1)
 
 
 _SPELLED_HEIGHT = 4  # towers with more twos than this print as 2^^height(top)
@@ -162,29 +161,24 @@ class TowerInt:
     def certainly_gt(self, other: "TowerInt | int") -> bool:
         return self.cmp(other) == 1
 
-    def add(self, other: "TowerInt | int", bit_cap: int = DEFAULT_BIT_CAP) -> "TowerInt":
+    def add(self, other: "TowerInt | int") -> "TowerInt":
         other = as_tower(other)
         (h1, t1), (h2, t2) = self.lower, other.lower
         if self.is_exact and other.is_exact:
-            return TowerInt(*_enclose(t1 + t2, bit_cap))
+            return TowerInt(*_enclose(t1 + t2))
         if h1 == h2 == 0:
-            lo = _enclose(t1 + t2, bit_cap)[0]
+            lo = _enclose(t1 + t2)[0]
         else:
             lo = max(self.lower, other.lower, key=_bound_key)
         hi = _bump(max(self.upper, other.upper, key=_bound_key))
         if hi[0] == 0:
-            hi = _enclose(hi[1], bit_cap)[1]
+            hi = _enclose(hi[1])[1]
         return TowerInt(lo, hi)
 
-    def pow2(self, bit_cap: int = DEFAULT_BIT_CAP) -> "TowerInt":
+    def pow2(self) -> "TowerInt":
         """2 raised to this value, exact while it fits under the cap."""
         (h1, t1), (h2, t2) = self.lower, self.upper
-        return TowerInt(_canon(h1 + 1, t1, bit_cap), _canon(h2 + 1, t2, bit_cap))
-
-    def __add__(self, other):
-        return self.add(other)
-
-    __radd__ = __add__
+        return TowerInt(_canon(h1 + 1, t1), _canon(h2 + 1, t2))
 
     def describe(self) -> str:
         if self.is_point:
@@ -210,7 +204,7 @@ def parse_tower_literal(text: str) -> TowerInt:
         raise ValueError("tower literals denote nonnegative integers")
     if any(p != "2" for p in parts[:-1]):
         raise ValueError(f"tower literals must stack 2s: {text!r}")
-    b = _canon(len(parts) - 1, top, DEFAULT_BIT_CAP)
+    b = _canon(len(parts) - 1, top)
     return TowerInt(b, b)
 
 
@@ -296,7 +290,7 @@ def iterated_log(x: "TowerInt | int", iterations: int) -> float:
 # Size calculus for depth/degree-budgeted trees
 # ---------------------------------------------------------------------------
 
-def size_recurrence(offset: int, index: int, bit_cap: int = DEFAULT_BIT_CAP) -> TowerInt:
+def size_recurrence(offset: int, index: int) -> TowerInt:
     """Value s_index of the greedy fill recurrence s_0 = 1, s_i = 2^(s_{i-1}+offset) + s_{i-1}.
 
     s_i is the vertex count of a depth-2 budgeted tree after its i-th root
@@ -309,7 +303,7 @@ def size_recurrence(offset: int, index: int, bit_cap: int = DEFAULT_BIT_CAP) -> 
         raise ValueError(f"index must lie in [0, 2^{offset}]")
     s = TowerInt.from_int(1)
     for _ in range(index):
-        s = s.add(offset, bit_cap).pow2(bit_cap).add(s, bit_cap)
+        s = s.add(offset).pow2().add(s)
     return s
 
 

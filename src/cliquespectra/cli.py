@@ -202,7 +202,9 @@ def _cmd_extract_tree(args) -> int:
     ok = all(check["pass"] for check in doc["checks"])
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            # indent selects the pure-Python encoder: dump streams its chunks, dumps joins them
+            json.dump(doc, fh, sort_keys=True, indent=1)
+            fh.write("\n")
     print(f"chain of {result.tree.size} cliques, slack C = {result.chain.C}")
     print(f"tree parents: {list(result.tree.parents)}")
     print(f"budget check: depth <= {H.k - 1}, degree of v_i <= 2^({result.chain.C}+i)")

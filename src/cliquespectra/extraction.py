@@ -35,6 +35,7 @@ from .hypergraphs import (
     Hypergraph,
     VertexSet,
     _draw_positions,
+    _members,
     clique_spectrum,
     edge_universe,
 )
@@ -411,8 +412,7 @@ def _subset_positions(n: int, k: int) -> Callable[[int], Tuple[int, ...]]:
     def need(s: int) -> Tuple[int, ...]:
         got = memo.get(s)
         if got is None:
-            members = [v for v in range(n) if s >> v & 1]
-            got = memo[s] = tuple(index[e] for e in itertools.combinations(members, k))
+            got = memo[s] = tuple(index[e] for e in itertools.combinations(_members(s), k))
         return got
 
     return need
@@ -472,7 +472,7 @@ def implication_trials(k: int, n: int, trials: int, seed: int) -> TrialsSummary:
                 bad.append(
                     {
                         "edges": [universe[j] for j in kept],  # increasing j: sorted
-                        "sets": [[v for v in vertices if s >> v & 1] for s in masks],
+                        "sets": [_members(s) for s in masks],
                     }
                 )
     return TrialsSummary(trials, held, tuple(bad))

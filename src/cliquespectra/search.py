@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .hypergraphs import Hypergraph, clique_spectrum, edge_universe
+from .hypergraphs import Hypergraph, _members, clique_spectrum, edge_universe
 
 MAX_UNSHARDED_BITS = 22  # refuse unsharded scans past 2^22 edge sets
 
@@ -41,11 +41,7 @@ def hypergraph_from_edge_index(n: int, k: int, index: int) -> Hypergraph:
     universe = edge_universe(n, k)
     if index < 0 or index.bit_length() > len(universe):
         raise ValueError(f"edge index {index} outside [0, 2^{len(universe)})")
-    edges = []
-    while index:
-        low = index & -index
-        edges.append(universe[low.bit_length() - 1])
-        index ^= low
+    edges = [universe[j] for j in _members(index)]
     return Hypergraph._canonical(k, n, edges)  # the index check admits universe edges only
 
 
@@ -429,7 +425,7 @@ DROP_ODDS = 50  # a drop, the one move that loses a member, is kept once in 50
 
 def _member(mask: int, k: int) -> Tuple[int, List[int]]:
     """A family member: its vertex mask and the masks of its (k-1)-subsets."""
-    bits = [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
+    bits = [1 << v for v in _members(mask)]
     return mask, [sum(t) for t in itertools.combinations(bits, k - 1)]
 
 
@@ -509,7 +505,7 @@ def hill_climb_g(
                 if len(family) > len(best):
                     best = family
     witness = Hypergraph._canonical(k, n, {
-        e for x, _ in best for e in itertools.combinations([v for v in range(n) if x >> v & 1], k)
+        e for x, _ in best for e in itertools.combinations(_members(x), k)
     })
     value = clique_spectrum(witness).distinct_sizes
     if not len(best) <= value <= n:

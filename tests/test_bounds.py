@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquespectra.bounds import (
+    BIT_CAP,
     TowerInt,
     iterated_log,
     log_star,
@@ -14,6 +15,13 @@ from cliquespectra.bounds import (
     slack_lower_bound,
     tree_size_bound,
 )
+
+
+def _value(bound):
+    """The int a bound of height 0 or 1 stands for."""
+    height, top = bound
+    assert height <= 1
+    return 1 << top if height else top
 
 
 class TestTowerInt:
@@ -26,48 +34,53 @@ class TestTowerInt:
         assert x.to_int() == 2048
 
     def test_escalation_past_cap(self):
-        x = TowerInt.from_int(4).pow2(bit_cap=4).add(5, bit_cap=4)  # 21, over 4 bits
+        # 2^(BIT_CAP - 1) has BIT_CAP bits and stays exact; 2^BIT_CAP is one bit over
+        assert TowerInt.from_int(BIT_CAP - 1).pow2().to_int() == 1 << (BIT_CAP - 1)
+        top = TowerInt.from_int(BIT_CAP).pow2()
+        assert top.is_point and not top.is_exact
+        x = top.add(5)
         assert not x.is_exact
-        assert x.certainly_ge(16) and x.certainly_le(32)
+        assert x.certainly_ge(1 << BIT_CAP) and x.certainly_le(1 << (BIT_CAP + 1))
 
     def test_point_tower_equality(self):
         a = parse_tower_literal("2^2^2")  # 16 as a tower
         assert a.is_exact and a.to_int() == 16
 
     def test_comparisons_three_valued(self):
-        wide = TowerInt.from_int(100).pow2(bit_cap=4).add(
-            TowerInt.from_int(100).pow2(bit_cap=4), bit_cap=4
+        wide = TowerInt.from_int(BIT_CAP + 100).pow2().add(
+            TowerInt.from_int(BIT_CAP + 100).pow2()
         )
         assert wide.cmp(wide) is None  # overlapping enclosures stay honest
-        assert wide.certainly_gt(2**99)
+        assert wide.certainly_gt(1 << (BIT_CAP + 99))
         small = TowerInt.from_int(7)
         assert small.cmp(9) == -1
         assert small.cmp(7) == 0
 
     def test_enclosures_contain_the_exact_value(self):
-        exact = size_recurrence(1, 2).to_int()  # 69
-        for cap in (2, 3, 4, 6):
-            enc = size_recurrence(1, 2, bit_cap=cap)
-            # containment: lower <= 69 <= upper, so neither strict order certifies
-            assert not enc.certainly_gt(exact)
-            assert not enc.certainly_lt(exact)
-            assert enc.certainly_le(2**40)
+        # at offset 3, s_2 = 2^20 + 17 and s_3 = 2^(s_2 + 3) + s_2, 21 bits past the cap
+        s2 = size_recurrence(3, 2).to_int()
+        assert s2 == (1 << 20) + 17
+        exact = (1 << (s2 + 3)) + s2
+        assert exact.bit_length() == BIT_CAP + 21
+        enc = size_recurrence(3, 3)
+        assert not enc.is_exact
+        # containment: lower <= exact <= upper, so neither strict order certifies
+        assert not enc.certainly_gt(exact)
+        assert not enc.certainly_lt(exact)
+        assert enc.certainly_ge(1 << (s2 + 3)) and enc.certainly_le(1 << (s2 + 4))
 
-    @pytest.mark.parametrize("cap, described", [
-        (2, ["1", "3", "1", "[2^2, 2^3]", "[2^2^2, 2^2^5]",
-             "1", "[2^3, 2^4]", "[2^2^3, 2^2^6]", "[2^2^2^3, 2^2^2^8]", "[2^2^2^2^3, 2^2^2^2^10]"]),
-        (3, ["1", "3", "1", "5", "[2^6, 2^7]",
-             "1", "[2^3, 2^4]", "[2^2^3, 2^2^6]", "[2^2^2^3, 2^2^2^8]", "[2^2^2^2^3, 2^2^2^2^10]"]),
-        (4, ["1", "3", "1", "5", "[2^6, 2^7]",
-             "1", "9", "[2^11, 2^12]", "[2^2^11, 2^2^14]", "[2^2^2^11, 2^2^2^16]"]),
-        (6, ["1", "3", "1", "5", "[2^6, 2^7]",
-             "1", "9", "[2^11, 2^12]", "[2^2^11, 2^2^14]", "[2^2^2^11, 2^2^2^16]"]),
-    ])
-    def test_small_cap_enclosures_render(self, cap, described):
-        # s_i for offsets 0..2 and every index up to 2^offset, in that order
-        got = [size_recurrence(o, i, bit_cap=cap).describe()
-               for o in range(3) for i in range((1 << o) + 1)]
-        assert got == described
+    def test_recurrence_enclosures_render(self):
+        # s_i for offsets 0..3 and every index up to 2^offset, in that order;
+        # offset 3 crosses the cap at s_3 = 2^(2^20 + 20) + 2^20 + 17
+        got = [size_recurrence(o, i).describe() for o in range(4) for i in range((1 << o) + 1)]
+        assert got == [
+            "1", "3",
+            "1", "5", "69",
+            "1", "9", "2057", "(2^2059+2057)", "[2^(2^2059+2059), 2^(2^2059+2060)]",
+            "1", "17", "1048593", "[2^1048596, 2^1048597]", "[2^2^1048596, 2^2^1048599]",
+            "[2^2^2^1048596, 2^2^2^1048601]", "[2^2^2^2^1048596, 2^2^2^2^1048603]",
+            "[2^^5(1048596), 2^^5(1048605)]", "[2^^6(1048596), 2^^6(1048607)]",
+        ]
 
     @pytest.mark.parametrize("value, described", [
         ((1 << 64) - 1, str((1 << 64) - 1)),
@@ -84,19 +97,59 @@ class TestTowerInt:
     @given(
         st.integers(min_value=0, max_value=500),
         st.integers(min_value=0, max_value=500),
-        st.sampled_from([3, 5, 8, 12]),
+        st.sampled_from([BIT_CAP - 2, BIT_CAP - 1, BIT_CAP]),
     )
-    def test_add_enclosure_soundness(self, a, b, cap):
-        enc = TowerInt.from_int(a).add(b, bit_cap=cap)
-        assert not enc.certainly_gt(a + b)
-        assert not enc.certainly_lt(a + b)
+    def test_add_enclosure_soundness(self, a, b, width):
+        # sums of 2^width - a and 2^width + b land on both sides of the cap
+        x, y = (1 << width) - a, (1 << width) + b
+        enc = TowerInt.from_int(x).add(y)
+        assert enc.is_exact == ((x + y).bit_length() <= BIT_CAP)
+        assert not enc.certainly_gt(x + y)
+        assert not enc.certainly_lt(x + y)
 
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(min_value=0, max_value=60), st.sampled_from([3, 5, 10]))
-    def test_pow2_enclosure_soundness(self, e, cap):
-        enc = TowerInt.from_int(e).pow2(bit_cap=cap)
-        assert not enc.certainly_gt(2**e)
-        assert not enc.certainly_lt(2**e)
+    @given(st.integers(min_value=BIT_CAP - 60, max_value=BIT_CAP + 60))
+    def test_pow2_enclosure_soundness(self, e):
+        enc = TowerInt.from_int(e).pow2()
+        assert enc.is_exact == (e < BIT_CAP)
+        assert not enc.certainly_gt(1 << e)
+        assert not enc.certainly_lt(1 << e)
+
+    def test_power_of_two_past_cap_is_a_point(self):
+        # an exact power of two past the cap encloses as the point tower 2^e
+        p = TowerInt.from_int(1 << BIT_CAP).add(0)
+        assert p.is_point and not p.is_exact
+        assert p.lower == (1, BIT_CAP)
+        assert p.cmp(1 << BIT_CAP) == 0
+        assert p.describe() == "2^1048576"
+        q = TowerInt.from_int(1 << BIT_CAP).add(1)
+        assert q.describe() == "[2^1048576, 2^1048577]"
+
+    def test_add_with_height_zero_lower_ends(self):
+        # an exact int past the cap stays the larger lower end of a sum
+        big = 1 << (BIT_CAP + 5)
+        over = TowerInt.from_int(1 << BIT_CAP).add(1)  # [2^2^20, 2^(2^20+1)]
+        mixed = TowerInt.from_int(big).add(over)
+        assert mixed.lower == (0, big) and not mixed.is_exact
+        assert mixed.upper == (1, BIT_CAP + 6)  # 2 * big, re-enclosed as a point tower
+        # both lower ends at height 0, not both exact: their sum is enclosed,
+        # and past the cap it rises to a tower
+        assert mixed.add(1).lower == (1, BIT_CAP + 5)
+        assert TowerInt((0, 5), (1, BIT_CAP)).add(3).describe() == "[8, 2^1048577]"
+        for enc, other in ((mixed, 1), (TowerInt((0, 5), (1, BIT_CAP)), 3)):
+            total = enc.add(other)
+            assert _value(total.lower) <= _value(enc.lower) + other
+            assert _value(total.upper) >= _value(enc.upper) + other
+
+    def test_add_re_encloses_a_height_zero_upper_end(self):
+        # a doubled height-0 upper end stays exact under the cap and rises past it
+        assert TowerInt((0, 5), (0, 10)).add(1).describe() == "[6, 20]"
+        for top in (1 << BIT_CAP, (1 << BIT_CAP) + 1):
+            enc = TowerInt((0, 5), (0, top))
+            total = enc.add(1)
+            assert total.lower == (0, 6) and total.upper[0] == 1
+            assert _value(total.upper) >= top + 1
+        assert TowerInt((0, 5), (0, 1 << BIT_CAP)).add(1).describe() == "[6, 2^1048577]"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquespectra import bounds
 from cliquespectra.bounds import (
     BIT_CAP,
     TowerInt,
@@ -81,6 +82,24 @@ class TestTowerInt:
             "[2^2^2^1048596, 2^2^2^1048601]", "[2^2^2^2^1048596, 2^2^2^2^1048603]",
             "[2^^5(1048596), 2^^5(1048605)]", "[2^^6(1048596), 2^^6(1048607)]",
         ]
+
+    @pytest.mark.parametrize("cap, described", [
+        (2, ["1", "3", "1", "[2^2, 2^3]", "[2^2^2, 2^2^5]",
+             "1", "[2^3, 2^4]", "[2^2^3, 2^2^6]", "[2^2^2^3, 2^2^2^8]", "[2^2^2^2^3, 2^2^2^2^10]"]),
+        (3, ["1", "3", "1", "5", "[2^6, 2^7]",
+             "1", "[2^3, 2^4]", "[2^2^3, 2^2^6]", "[2^2^2^3, 2^2^2^8]", "[2^2^2^2^3, 2^2^2^2^10]"]),
+        (4, ["1", "3", "1", "5", "[2^6, 2^7]",
+             "1", "9", "[2^11, 2^12]", "[2^2^11, 2^2^14]", "[2^2^2^11, 2^2^2^16]"]),
+        (6, ["1", "3", "1", "5", "[2^6, 2^7]",
+             "1", "9", "[2^11, 2^12]", "[2^2^11, 2^2^14]", "[2^2^2^11, 2^2^2^16]"]),
+    ])
+    def test_small_cap_enclosures_render(self, monkeypatch, cap, described):
+        # the enclosure logic reads the module's one cap; shrunk to a few bits,
+        # the recurrence escalates at every index, several heights deep.
+        # s_i for offsets 0..2 and every index up to 2^offset, in that order
+        monkeypatch.setattr(bounds, "BIT_CAP", cap)
+        got = [size_recurrence(o, i).describe() for o in range(3) for i in range((1 << o) + 1)]
+        assert got == described
 
     @pytest.mark.parametrize("value, described", [
         ((1 << 64) - 1, str((1 << 64) - 1)),

@@ -10,10 +10,13 @@ smallest witnessing index.  On 2 CPUs with Python 3.11 all 2^21 graphs of
 (7, 2) take about 0.04 s, the 2^20 of (6, 3) 0.03 s, and the 2^28 of (8, 2)
 about 9 s in 64 shards.  Index ranges shard trivially and merge by one rule.
 A shard's result is the checkpoint of its one range, checked before the scan.
-A process builds one scanner per (n, k) and every shard of it reuses that one.
-A checkpoint file, validated when read back, makes long scans resumable.  It
-belongs to the one shard plan (n, k, S) it was written under: a file holding a
-range outside the plan is refused when opened, so recording is an append.
+A shard pays for its own lanes only: its piece of each block is counted in
+the smallest aligned block that holds it.  A process builds one scanner per
+(n, k) and every shard of it reuses that one.  A checkpoint file, validated
+when read back, makes long scans resumable.  It belongs to the one shard plan
+(n, k, S) it was written under: a file holding a range outside the plan is
+refused when opened, so recording is an append.  A sharded scan writes it at
+most once every CHECKPOINT_EVERY_S, and once more when it ends or is cut short.
 Past exhaustive reach, a seeded local search over families of vertex sets
 with distinct sizes gives lower-bound witnesses: a family whose members are
 all maximal in the k-graph of their k-subsets certifies itself by a
@@ -35,6 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 from .hypergraphs import Hypergraph, _members, clique_spectrum, edge_universe
 
 MAX_UNSHARDED_BITS = 22  # refuse unsharded scans past 2^22 edge sets
+CHECKPOINT_EVERY_S = 1.0  # a sharded scan writes its checkpoint at most once a second
 
 
 def hypergraph_from_edge_index(n: int, k: int, index: int) -> Hypergraph:
@@ -116,8 +120,12 @@ class SpectrumScanner:
         """Bit-sliced distinct-size counts of lanes base .. base + 2^width - 1.
 
         Plane p holds bit p of every lane's count.  base is a multiple of
-        2^width, and width is at most the scanner's block width.
+        2^width, and width is at most the scanner's block width; ValueError
+        otherwise, since a misaligned block would read the wrong edge bits.
         """
+        if not 0 <= width <= self.width or base & ((1 << width) - 1):
+            raise ValueError(f"no block of width {width} at base {base}: need width in "
+                             f"0..{self.width} and base a multiple of 2^width")
         ones = (1 << (1 << width)) - 1
         patterns = self.patterns
         edge = [
@@ -152,9 +160,12 @@ class SpectrumScanner:
         return planes
 
     def best_in_block(self, base: int, valid: int) -> Tuple[int, int]:
-        """(best count, smallest index) over the lanes of the block at base set in valid."""
+        """(best count, smallest index) over the lanes of the block at base set in valid.
+
+        Counts the smallest block at base that holds valid's highest lane.
+        """
         best = 0
-        planes = self.count_planes(base, self.width)
+        planes = self.count_planes(base, (valid.bit_length() - 1).bit_length())
         for p in reversed(range(len(planes))):
             top = valid & planes[p]
             if top:
@@ -175,22 +186,25 @@ def _scanner(n: int, k: int) -> SpectrumScanner:
 def scan_range(n: int, k: int, lo: int, hi: int) -> Tuple[int, int]:
     """(best distinct-size count, smallest index achieving it) over [lo, hi).
 
-    Walks the aligned blocks that meet [lo, hi), masking off the lanes outside.
+    Walks the scan blocks that meet [lo, hi).  Each block's piece [start, end)
+    is counted in the smallest aligned block that holds it, with the lanes
+    outside the piece masked off, so a shard pays for its own lanes only.
     """
     scanner = _scanner(n, k)
     lanes = 1 << scanner.width
     best = -1
     best_index = -1
-    base = lo - lo % lanes
-    while base < hi:
-        valid = (1 << min(hi - base, lanes)) - 1
-        if base < lo:
-            valid ^= (1 << (lo - base)) - 1
+    start = lo
+    while start < hi:
+        end = min(hi, (start // lanes + 1) * lanes)
+        width = (start ^ (end - 1)).bit_length()
+        base = start >> width << width
+        valid = ((1 << (end - start)) - 1) << (start - base)
         d, index = scanner.best_in_block(base, valid)
         if d > best:
             best = d
             best_index = index
-        base += lanes
+        start = end
     return best, best_index
 
 
@@ -372,14 +386,29 @@ def exhaustive_g_sharded(
     """Scan all shards (skipping checkpointed ones), merging deterministically.
 
     A partial checkpoint, such as single-shard runs (search-g --shard i) leave
-    behind, resumes with its done shards skipped.
+    behind, resumes with its done shards skipped.  Finished shards are folded
+    into the checkpoint in memory; the file is written once CHECKPOINT_EVERY_S
+    has passed since the last write, and when the loop ends with shards
+    unsaved, whether it finished or an exception or Ctrl-C cut it short.  A
+    run with no pending shard writes nothing.
     """
     ranges = shard_ranges(n, k, num_shards)
     cp = open_checkpoint(checkpoint_path, n, k, ranges)
     done = set(cp.shards_done)
-    for lo, hi in ranges:
-        if (lo, hi) not in done:
-            record_shard(cp, run_shard(n, k, lo, hi), checkpoint_path)
+    saved_at = time.monotonic()
+    unsaved = False
+    try:
+        for lo, hi in ranges:
+            if (lo, hi) in done:
+                continue
+            record_shard(cp, run_shard(n, k, lo, hi), None)
+            unsaved = True
+            if checkpoint_path and time.monotonic() - saved_at >= CHECKPOINT_EVERY_S:
+                save_checkpoint(cp, checkpoint_path)
+                saved_at, unsaved = time.monotonic(), False
+    finally:
+        if checkpoint_path and unsaved:
+            save_checkpoint(cp, checkpoint_path)
     return cp.best, _checked_witness(n, k, cp.best, cp.witness_edge_index)
 
 

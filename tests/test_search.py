@@ -272,6 +272,87 @@ class TestSharding:
         assert path.read_text(encoding="utf-8") == text
 
 
+class TestLaneExactShards:
+    """A shard counts the lanes it owns, and its checkpoint is written on a clock."""
+
+    def test_count_planes_refuses_a_block_it_cannot_count(self):
+        scanner = SpectrumScanner(6, 3)
+        with pytest.raises(ValueError, match="multiple of 2\\^width"):
+            scanner.count_planes(256 + 1, 8)  # base not aligned to 2^8
+        with pytest.raises(ValueError, match="width in 0..15"):
+            scanner.count_planes(0, 16)  # wider than the scanner's blocks
+
+    @pytest.mark.parametrize("n,k,counts", [
+        (5, 3, range(1, 13)), (6, 2, range(1, 13)), (6, 4, range(1, 13)), (6, 3, [4096]),
+    ])
+    def test_shards_equal_the_unsharded_scan(self, n, k, counts):
+        g, witness = exhaustive_g(n, k)
+        for num_shards in counts:
+            shards = [run_shard(n, k, lo, hi) for lo, hi in shard_ranges(n, k, num_shards)]
+            assert merge_shards(shards) == (g, edge_index_of(witness)), num_shards
+
+    def _lanes_counted(self, monkeypatch, n, k, num_shards):
+        counted = []
+        real = SpectrumScanner.count_planes
+
+        def counting(self, base, width):
+            counted.append(1 << width)
+            return real(self, base, width)
+
+        monkeypatch.setattr(SpectrumScanner, "count_planes", counting)
+        for lo, hi in shard_ranges(n, k, num_shards):
+            run_shard(n, k, lo, hi)
+        return sum(counted)
+
+    def test_lanes_are_counted_once(self, monkeypatch):
+        assert self._lanes_counted(monkeypatch, 6, 3, 4096) == 1 << 20  # aligned 256-lane shards
+        # 7 unaligned shards share (6, 2)'s one 2^15-lane block; each counts the aligned
+        # block around its own piece, not the whole block
+        assert self._lanes_counted(monkeypatch, 6, 2, 7) < 7 * BLOCK
+
+    def test_the_clock_decides_the_writes(self, tmp_path, monkeypatch):
+        saves = []  # the done-shard count at each write
+        real = search.save_checkpoint
+
+        def counting(cp, path):
+            saves.append(len(cp.shards_done))
+            real(cp, path)
+
+        monkeypatch.setattr(search, "save_checkpoint", counting)
+        fast = tmp_path / "fast.json"
+        result = exhaustive_g_sharded(5, 3, 7, str(fast))
+        assert saves == [7]  # well under CHECKPOINT_EVERY_S: one write, after the last shard
+        exhaustive_g_sharded(5, 3, 7, str(fast))
+        assert saves == [7]  # nothing pending, nothing written
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY_S", 0)
+        every = tmp_path / "every.json"
+        assert exhaustive_g_sharded(5, 3, 7, str(every)) == result
+        assert saves == [7, 1, 2, 3, 4, 5, 6, 7]
+        unstamped = [dict(json.loads(p.read_text(encoding="utf-8")), started_at="", updated_at="")
+                     for p in (fast, every)]
+        assert unstamped[0] == unstamped[1]
+
+    def test_an_interrupted_run_keeps_its_finished_shards(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cp.json")
+        ranges = shard_ranges(5, 3, 7)
+        real = search.run_shard
+        started = []
+
+        def interrupted(n, k, lo, hi):
+            started.append((lo, hi))
+            if len(started) == 4:
+                raise KeyboardInterrupt
+            return real(n, k, lo, hi)
+
+        monkeypatch.setattr(search, "run_shard", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            exhaustive_g_sharded(5, 3, 7, path)
+        assert load_checkpoint(path).shards_done == ranges[:3]
+        monkeypatch.setattr(search, "run_shard", real)
+        assert exhaustive_g_sharded(5, 3, 7, path) == exhaustive_g(5, 3)
+        assert load_checkpoint(path).shards_done == ranges
+
+
 def _checkpoint_doc(**changes):
     """A checkpoint of the full (5, 3) scan in two shards, with fields replaced."""
     doc = {"schema_version": 1, "n": 5, "k": 3, "shards_done": [[0, 512], [512, 1024]],

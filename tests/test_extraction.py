@@ -386,6 +386,13 @@ class TestCompletenessImplication:
         assert run(["check-fact1", "--k", "3", "--n", "10", "--trials", "1500", "--seed", "1"]) == 0
         assert capsys.readouterr().out == "1500 trials, hypotheses held in 501, counterexamples: 0\n"
 
+    def test_set_rejection_stream_is_pinned(self, capsys):
+        # n = 30 exceeds random.sample's pool size for at most 4 vertices, so the
+        # set draws take its rejection branch; the pins above cover the pool branch
+        assert implication_trials(3, 30, 800, seed=4) == TrialsSummary(800, 251, ())
+        assert run(["check-fact1", "--k", "3", "--n", "30", "--trials", "800", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == "800 trials, hypotheses held in 251, counterexamples: 0\n"
+
     def test_trials_find_no_counterexamples(self):
         for k in (2, 3, 4):
             summary = implication_trials(k, 9, 3000, seed=11 * k)

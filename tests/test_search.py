@@ -488,7 +488,13 @@ class TestHillClimb:
         (12, 3, 1, 7, 847288768462277766045217442030025485809118068301774912043715853695),
         (20, 2, 1, 4, 1456565175864526932557612479306168568849770811966038736767),
         (10, 4, 2, 6, 38880692164083734774613729492000415048153966494049870636612587),
-    ], ids=["12-3-1", "20-2-1", "10-4-2"])
+        # draws of more than 5 vertices, and (n > 21) of at most 5 by set rejection
+        (12, 3, 7, 8, 1684996666696675020289848322236276104485886325458436098790210223775),
+        (24, 2, 7, 7,
+         120690557766220311491211403403842493336398535517051759694734494105108588565263673383),
+        (30, 2, 7, 8,
+         88466349812448330461696859326502230847677816642987887119557667546418156667954674927013364629119648678980864820092253564048884840077),
+    ], ids=["12-3-1", "20-2-1", "10-4-2", "12-3-7", "24-2-7", "30-2-7"])
     def test_pins_the_climb_path(self, n, k, seed, value, index):
         # taken from the family climber; a change to its moves or draws moves these
         best, witness = hill_climb_g(n, k, 90, seed, 1)

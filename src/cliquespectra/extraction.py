@@ -34,8 +34,10 @@ from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Seque
 from .hypergraphs import (
     Hypergraph,
     VertexSet,
+    _below,
     _draw_positions,
     _members,
+    _sample_mask,
     clique_spectrum,
     edge_universe,
 )
@@ -185,7 +187,8 @@ def _shape_problem(result: ExtractionResult, H: Hypergraph) -> Optional[str]:
     """The first reason the result cannot be evaluated against H, or None.
 
     Past this gate every index the checks take is in range, C is a valid
-    degree offset and every clique lies inside V(H), so no check raises.
+    degree offset, every clique, A and B set is a frozenset and every clique
+    lies inside V(H), so no check raises.
     """
     chain, tree = result.chain, result.tree
     t1 = len(chain.cliques)
@@ -195,6 +198,10 @@ def _shape_problem(result: ExtractionResult, H: Hypergraph) -> Optional[str]:
         return f"chain has {len(chain.A)} A and {len(chain.B)} B sets for {t1} cliques"
     if type(chain.C) is not int or chain.C < 0:
         return f"C = {chain.C!r} is not an integer >= 0"
+    for name, sets in (("X", chain.cliques), ("A", chain.A), ("B", chain.B)):
+        for i, s in enumerate(sets):
+            if not isinstance(s, frozenset):
+                return f"{name}_{i} is not a frozenset"
     V = H.vertices
     for i, clique in enumerate(chain.cliques):
         if not clique <= V:
@@ -447,24 +454,21 @@ def implication_trials(k: int, n: int, trials: int, seed: int) -> TrialsSummary:
     its edges in ``edge_universe(n, k)``, with the draws of
     ``random_hypergraph``, and its k + 1 sets as vertex masks, so no trial
     builds a Hypergraph; ``completeness_implication`` is the rule's oracle.
+    The density is ``choice(densities)``, each set ``sample(range(n),
+    randint(0, min(n, 4)))``, drawn as those calls draw by ``_below`` and
+    ``_sample_mask``.
     """
     rng = random.Random(seed)
-    choice, randint, sample = rng.choice, rng.randint, rng.sample
+    getrandbits = rng.getrandbits
     densities = (0.25, 0.5, 0.8, 0.95, 1.0)
     universe = edge_universe(n, k)
     need = _subset_positions(n, k)
-    vertices = range(n)
     most = min(n, 4)
     held = 0
     bad: List[dict] = []
     for _ in range(trials):
-        kept = _draw_positions(len(universe), choice(densities), rng)
-        masks = []
-        for _ in range(k + 1):
-            s = 0
-            for v in sample(vertices, randint(0, most)):
-                s |= 1 << v
-            masks.append(s)
+        kept = _draw_positions(len(universe), densities[_below(getrandbits, 5)], rng)
+        masks = [_sample_mask(getrandbits, n, _below(getrandbits, most + 1)) for _ in range(k + 1)]
         hypotheses, conclusion = _position_implication(set(kept), need, masks)
         if hypotheses:
             held += 1

@@ -30,16 +30,20 @@ canonical by construction.
 checks k and n), and a position in it names an edge.  ``random_hypergraph``
 draws the positions it keeps with ``_draw_positions``, one ``rng.random()``
 per possible edge in that order; ``extraction.implication_trials`` makes the
-same draws and keeps only the positions.
+same draws and keeps only the positions.  ``_below`` and ``_sample_mask`` draw
+what ``randrange`` and ``random.sample`` draw, from ``getrandbits`` alone, and
+return a sample as a vertex mask; the seeded loops make every other draw with
+them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Tuple
 
 VertexSet = FrozenSet[int]
 
@@ -300,6 +304,46 @@ def _draw_positions(count: int, edge_probability: float, rng: random.Random) -> 
     """Positions j < count kept by one ``rng.random() < edge_probability`` each, in order."""
     draw = rng.random
     return [j for j in range(count) if draw() < edge_probability]
+
+
+def _below(getrandbits: Callable[[int], int], m: int) -> int:
+    """``Random._randbelow_with_getrandbits(m)`` for m >= 1: uniform in [0, m).
+
+    Draws the same ``getrandbits`` words, in the same order, as ``randrange(m)``
+    and, shifted by its low end, ``randint``; ``choice(seq)`` is
+    ``seq[_below(getrandbits, len(seq))]``.
+    """
+    width = m.bit_length()
+    r = getrandbits(width)
+    while r >= m:
+        r = getrandbits(width)
+    return r
+
+
+def _sample_mask(getrandbits: Callable[[int], int], bits: int, m: int) -> int:
+    """The vertex mask of ``Random.sample(range(bits), m)``, from the same draws.
+
+    Follows CPython's two branches: a pool of the ``bits`` vertices, swapping
+    each pick out, when the pool is smaller than a set of m picks would be, and
+    otherwise a redraw of every vertex already picked.
+    """
+    setsize = 21
+    if m > 5:
+        setsize += 4 ** math.ceil(math.log(m * 3, 4))
+    mask = 0
+    if bits <= setsize:
+        pool = list(range(bits))
+        for top in range(bits, bits - m, -1):
+            j = _below(getrandbits, top)
+            mask |= 1 << pool[j]
+            pool[j] = pool[top - 1]
+    else:
+        for _ in range(m):
+            j = _below(getrandbits, bits)
+            while mask >> j & 1:
+                j = _below(getrandbits, bits)
+            mask |= 1 << j
+    return mask
 
 
 def random_hypergraph(n: int, k: int, edge_probability: float, rng: random.Random) -> Hypergraph:

@@ -10,8 +10,9 @@ smallest witnessing index.  On 2 CPUs with Python 3.11 all 2^21 graphs of
 (7, 2) take about 0.04 s, the 2^20 of (6, 3) 0.03 s, and the 2^28 of (8, 2)
 about 9 s in 64 shards.  Index ranges shard trivially and merge by one rule.
 A shard's result is the checkpoint of its one range, checked before the scan.
-A shard pays for its own lanes only: its piece of each block is counted in
-the smallest aligned block that holds it.  A process builds one scanner per
+A shard counts at most twice its own lanes: its piece of each block is
+counted in the smallest aligned block that holds it, in two halves when the
+piece fills less than half that block.  A process builds one scanner per
 (n, k) and every shard of it reuses that one.  A checkpoint file, validated
 when read back, makes long scans resumable.  It belongs to the one shard plan
 (n, k, S) it was written under: a file holding a range outside the plan is
@@ -35,7 +36,14 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .hypergraphs import Hypergraph, _members, clique_spectrum, edge_universe
+from .hypergraphs import (
+    Hypergraph,
+    _below,
+    _members,
+    _sample_mask,
+    clique_spectrum,
+    edge_universe,
+)
 
 MAX_UNSHARDED_BITS = 22  # refuse unsharded scans past 2^22 edge sets
 CHECKPOINT_EVERY_S = 1.0  # a sharded scan writes its checkpoint at most once a second
@@ -188,7 +196,9 @@ def scan_range(n: int, k: int, lo: int, hi: int) -> Tuple[int, int]:
 
     Walks the scan blocks that meet [lo, hi).  Each block's piece [start, end)
     is counted in the smallest aligned block that holds it, with the lanes
-    outside the piece masked off, so a shard pays for its own lanes only.
+    outside the piece masked off.  A piece under half that block is cut at
+    the block's midpoint and its halves counted apart, so a shard counts
+    at most twice the lanes it owns.
     """
     scanner = _scanner(n, k)
     lanes = 1 << scanner.width
@@ -199,6 +209,11 @@ def scan_range(n: int, k: int, lo: int, hi: int) -> Tuple[int, int]:
         end = min(hi, (start // lanes + 1) * lanes)
         width = (start ^ (end - 1)).bit_length()
         base = start >> width << width
+        if 2 * (end - start) < 1 << width:
+            # each half ends or starts on the midpoint, so it fills over half its own block
+            end = base + (1 << width - 1)
+            width = (start ^ (end - 1)).bit_length()
+            base = start >> width << width
         valid = ((1 << (end - start)) - 1) << (start - base)
         d, index = scanner.best_in_block(base, valid)
         if d > best:
@@ -499,32 +514,34 @@ def hill_climb_g(
     in H.  Conversely, if every member is maximal, K(F) has >= |F| sizes.
 
     Each restart starts from the empty family.  A move adds a random set of a
-    random size in [k-1, n], toggles one vertex of a member, or drops one.  It
+    random size in [k-1, n], toggles one vertex of a member, or drops one; the
+    draws are those of ``randrange``, ``randint`` and ``sample``, made by
+    ``_below`` and ``_sample_mask`` from one ``getrandbits`` stream.  It
     is kept when the sizes stay distinct, _all_maximal holds and F does not
     shrink; a drop, which only removes edges and so needs no check, is kept
     once in DROP_ODDS.  iters counts feasibility checks; iters=0 reports the
     empty family, whose K(F) is edgeless.  The largest F's K(F) is enumerated
     once, and RuntimeError is raised unless its count lies in [|F|, n].
     """
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     best: List[Tuple[int, List[int]]] = []
     for _ in range(max(1, restarts)):
         family: List[Tuple[int, List[int]]] = []
         spent = 0
         while spent < iters and k - 1 <= n:  # below k - 1 vertices no size can be added
-            move = rng.randrange(3)
+            move = _below(getrandbits, 3)
             rest = family[:]
             if move == 0:
-                x = sum(1 << v for v in rng.sample(range(n), rng.randint(k - 1, n)))
+                x = _sample_mask(getrandbits, n, k - 1 + _below(getrandbits, n - k + 2))
             elif not family:
                 continue
             else:
-                y = rest.pop(rng.randrange(len(rest)))[0]
+                y = rest.pop(_below(getrandbits, len(rest)))[0]
                 if move == 2:
-                    if rng.randrange(DROP_ODDS) == 0:
+                    if _below(getrandbits, DROP_ODDS) == 0:
                         family = rest
                     continue
-                x = y ^ 1 << rng.randrange(n)
+                x = y ^ 1 << _below(getrandbits, n)
             if x.bit_count() in {m.bit_count() for m, _ in rest}:
                 continue
             spent += 1

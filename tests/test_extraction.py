@@ -208,6 +208,16 @@ class TestValidateCertificate:
             (H, dataclasses.replace(result, chain=dataclasses.replace(
                 chain, cliques=(chain.cliques[0] | {9},) + chain.cliques[1:])),
              "X_0 has a vertex outside 0..5"),
+            # arrays read back from JSON without conversion
+            (H, dataclasses.replace(result, chain=dataclasses.replace(
+                chain, cliques=tuple(sorted(c) for c in chain.cliques))),
+             "X_0 is not a frozenset"),
+            (H, dataclasses.replace(result, chain=dataclasses.replace(
+                chain, A=chain.A[:2] + (sorted(chain.A[2]),))),
+             "A_2 is not a frozenset"),
+            (H, dataclasses.replace(result, chain=dataclasses.replace(
+                chain, B=(list(chain.B[0]),) + chain.B[1:])),
+             "B_0 is not a frozenset"),
             (H, dataclasses.replace(result, certificate=paths[:-1]),
              "1 stored paths for 2 non-root nodes"),
             (H, dataclasses.replace(result, certificate=(

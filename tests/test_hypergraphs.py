@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from cliquespectra.hypergraphs import (
     Hypergraph,
     ParseError,
+    _below,
     _draw_positions,
+    _sample_mask,
     brute_force_maximal_cliques,
     clique_spectrum,
     edge_universe,
@@ -450,6 +452,19 @@ class TestConstruction:
                     rng = random.Random(seed)
                     assert sorted(random_hypergraph(n, k, p, rng).edges) == want
                     assert rng.random() == after
+
+    def test_exact_draws_match_the_stdlib(self):
+        """_sample_mask and _below return what random.sample and randrange
+        return, and leave the generator in the same state: the pool and the
+        set-rejection branch of sample, and sizes past 5, where the pool grows."""
+        for seed in (0, 1, 7, 12345678901234567):
+            for n in range(1, 41):
+                for m in range(n + 1):
+                    want, got = random.Random(seed), random.Random(seed)
+                    assert (_sample_mask(got.getrandbits, n, m)
+                            == sum(1 << v for v in want.sample(range(n), m))), (seed, n, m)
+                    assert _below(got.getrandbits, m + 1) == want.randrange(m + 1)
+                    assert got.getstate() == want.getstate(), (seed, n, m)
 
     def test_canonical_producers_still_reject_bad_shapes(self):
         for n, k in ((3, 1), (3, 0), (0, 2), (-1, 2)):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cliquespectra import search
+from cliquespectra.cli import run
 from cliquespectra.hypergraphs import Hypergraph, brute_force_maximal_cliques, clique_spectrum
 from cliquespectra.search import (
     SearchCheckpoint,
@@ -291,7 +292,8 @@ class TestLaneExactShards:
             shards = [run_shard(n, k, lo, hi) for lo, hi in shard_ranges(n, k, num_shards)]
             assert merge_shards(shards) == (g, edge_index_of(witness)), num_shards
 
-    def _lanes_counted(self, monkeypatch, n, k, num_shards):
+    def _counted(self, monkeypatch):
+        """The lanes of each count_planes call made from here on."""
         counted = []
         real = SpectrumScanner.count_planes
 
@@ -300,15 +302,44 @@ class TestLaneExactShards:
             return real(self, base, width)
 
         monkeypatch.setattr(SpectrumScanner, "count_planes", counting)
+        return counted
+
+    def _lanes_per_shard(self, monkeypatch, n, k, num_shards):
+        """(lanes owned, lanes counted) of each shard of the plan."""
+        counted = self._counted(monkeypatch)
+        lanes = []
         for lo, hi in shard_ranges(n, k, num_shards):
+            counted.clear()
             run_shard(n, k, lo, hi)
-        return sum(counted)
+            lanes.append((hi - lo, sum(counted)))
+        return lanes
+
+    def _lanes_counted(self, monkeypatch, n, k, num_shards):
+        return sum(c for _, c in self._lanes_per_shard(monkeypatch, n, k, num_shards))
 
     def test_lanes_are_counted_once(self, monkeypatch):
         assert self._lanes_counted(monkeypatch, 6, 3, 4096) == 1 << 20  # aligned 256-lane shards
         # 7 unaligned shards share (6, 2)'s one 2^15-lane block; each counts the aligned
         # block around its own piece, not the whole block
         assert self._lanes_counted(monkeypatch, 6, 2, 7) < 7 * BLOCK
+
+    @pytest.mark.parametrize("n,k,num_shards", [(6, 2, 7), (5, 3, 12), (6, 4, 11), (7, 2, 3)])
+    def test_a_shard_counts_at_most_twice_its_lanes(self, monkeypatch, capsys, n, k, num_shards):
+        # a piece under half its smallest aligned block is counted in two halves
+        lanes = self._lanes_per_shard(monkeypatch, n, k, num_shards)
+        assert all(counted <= 2 * owned for owned, counted in lanes), lanes
+        argv = ["search-g", "--n", str(n), "--k", str(k)]
+        assert run(argv) == 0
+        unsharded = capsys.readouterr().out
+        assert run(argv + ["--shards", str(num_shards)]) == 0
+        assert capsys.readouterr().out == unsharded
+
+    def test_a_piece_across_a_midpoint_is_split_there(self, monkeypatch):
+        # [2^14 - 1, 2^14 + 1) straddles the midpoint of (6, 2)'s one 2^15-lane block
+        counted = self._counted(monkeypatch)
+        lo, hi = (1 << 14) - 1, (1 << 14) + 1
+        assert scan_range(6, 2, lo, hi) == _oracle_scan(6, 2, lo, hi)
+        assert counted == [1, 1]
 
     def test_the_clock_decides_the_writes(self, tmp_path, monkeypatch):
         saves = []  # the done-shard count at each write

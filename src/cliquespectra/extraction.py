@@ -187,8 +187,8 @@ def _shape_problem(result: ExtractionResult, H: Hypergraph) -> Optional[str]:
     """The first reason the result cannot be evaluated against H, or None.
 
     Past this gate every index the checks take is in range, C is a valid
-    degree offset, every clique, A and B set is a frozenset and every clique
-    lies inside V(H), so no check raises.
+    degree offset, every set is a frozenset and every clique lies inside
+    V(H), so no check raises.
     """
     chain, tree = result.chain, result.tree
     t1 = len(chain.cliques)
@@ -213,6 +213,8 @@ def _shape_problem(result: ExtractionResult, H: Hypergraph) -> Optional[str]:
             return f"stored path {list(pd.path)} is not the root path of node {node}"
         if len(pd.S) != len(pd.path):
             return f"stored path of node {node} has {len(pd.S)} slices for {len(pd.path)} path nodes"
+        if not all(isinstance(s, frozenset) for s in (*pd.S, pd.U, pd.W)):
+            return f"stored path of node {node} holds a set that is not a frozenset"
     return None
 
 

@@ -218,6 +218,9 @@ class TestValidateCertificate:
             (H, dataclasses.replace(result, chain=dataclasses.replace(
                 chain, B=(list(chain.B[0]),) + chain.B[1:])),
              "B_0 is not a frozenset"),
+            (H, dataclasses.replace(result, certificate=(
+                dataclasses.replace(paths[0], S=tuple(map(sorted, paths[0].S))), paths[1])),
+             "stored path of node 1 holds a set that is not a frozenset"),
             (H, dataclasses.replace(result, certificate=paths[:-1]),
              "1 stored paths for 2 non-root nodes"),
             (H, dataclasses.replace(result, certificate=(

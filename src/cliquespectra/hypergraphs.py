@@ -32,8 +32,8 @@ draws the positions it keeps with ``_draw_positions``, one ``rng.random()``
 per possible edge in that order; ``extraction.implication_trials`` makes the
 same draws and keeps only the positions.  ``_below`` and ``_sample_mask`` draw
 what ``randrange`` and ``random.sample`` draw, from ``getrandbits`` alone, and
-return a sample as a vertex mask; the seeded loops make every other draw with
-them.
+return a sample as a vertex mask; the seeded loops make all their draws but
+the edge draws with them.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 Exit codes: 0 success / validation passed, 1 validation failed or a bound
 violated, 2 usage or input error.  All randomness flows from one user-supplied
 64-bit seed through Python's Mersenne Twister (random.Random), read only by
-its random() and getrandbits(): sets and indices come from the exact copies of
-random.sample and randrange in hypergraphs, so a seed gives the same output on
-every supported Python.  JSON output is key-sorted and deterministic for fixed
-inputs and seed, except the elapsed_s wall-time field.
+its getrandbits(): edge draws decide random() < p from random()'s two words,
+and sets and indices come from the exact copies of random.sample and randrange
+in hypergraphs, so a seed gives the same output on every supported Python.
+JSON output is key-sorted and deterministic for fixed inputs and seed, except
+the elapsed_s wall-time field.
 """
 
 from __future__ import annotations

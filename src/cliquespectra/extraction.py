@@ -19,23 +19,26 @@ check.
 The module also stress-tests the union-completeness implication behind the
 distance bound.  ``completeness_implication(H, sets)`` is the validating form
 on ``Hypergraph.is_complete``.  ``implication_trials`` runs the same rule on
-edge positions in ``edge_universe(n, k)`` and vertex bitmasks, so a trial
-builds no Hypergraph: a union is complete iff the positions of its k-subsets
-were all drawn.
+vertex bitmasks and a miss mask, bit j set where the edge at position j of
+``edge_universe(n, k)`` was not drawn, so a trial builds no Hypergraph: a
+union is complete iff the miss mask and the mask of its k-subsets' positions
+share no bit.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .hypergraphs import (
     Hypergraph,
     VertexSet,
     _below,
-    _draw_positions,
+    _draw_misses,
+    _kept_edges,
     _members,
     _sample_mask,
     clique_spectrum,
@@ -410,28 +413,45 @@ class TrialsSummary:
     counterexamples: Tuple[dict, ...]
 
 
-def _subset_positions(n: int, k: int) -> Callable[[int], Tuple[int, ...]]:
-    """need(s): positions in ``edge_universe(n, k)`` of the k-subsets of vertex mask s.
+def _subset_positions(n: int, k: int) -> Callable[[int], int]:
+    """need(s): the mask of the positions in ``edge_universe(n, k)`` of the
+    k-subsets of vertex mask s.
 
-    Memoized per returned function, so the memo lives as long as its caller.
+    The k-subsets whose least vertex is v take the positions from C(n, k) -
+    C(n - v, k) on, in the order of the (k-1)-subsets of the n - v - 1
+    vertices above v.  So need(s), for v the least vertex of s, is need(s
+    without v) joined with that block: the need, among those (k-1)-subsets,
+    of s's vertices above v shifted down by v + 1.  Every mask met on the way
+    is memoized, per returned function, so the memo lives as long as its
+    caller.
     """
-    index = {e: j for j, e in enumerate(edge_universe(n, k))}
-    memo: Dict[int, Tuple[int, ...]] = {}
+    @functools.lru_cache(maxsize=None)
+    def positions(m: int, j: int) -> Callable[[int], int]:
+        if j == 0:
+            return lambda s: 1  # the empty set, at position 0
+        blocks = [(positions(m - v - 1, j - 1), math.comb(m, j) - math.comb(m - v, j))
+                  for v in range(m)]
+        memo: Dict[int, int] = {0: 0}
 
-    def need(s: int) -> Tuple[int, ...]:
-        got = memo.get(s)
-        if got is None:
-            got = memo[s] = tuple(index[e] for e in itertools.combinations(_members(s), k))
-        return got
+        def need(s: int) -> int:
+            got = memo.get(s)
+            if got is None:
+                low = s & -s
+                above, shift = blocks[low.bit_length() - 1]
+                got = memo[s] = need(s ^ low) | above(s >> low.bit_length()) << shift
+            return got
 
-    return need
+        return need
+
+    return positions(n, k)
 
 
-def _position_implication(drawn: AbstractSet[int], need: Callable[[int], Tuple[int, ...]],
+def _position_implication(misses: int, need: Callable[[int], int],
                           masks: Sequence[int]) -> Tuple[bool, bool]:
     """``completeness_implication`` on edge positions and vertex masks.
 
-    A vertex mask s is complete iff ``drawn`` holds every position in need(s).
+    ``misses`` has the bit of each position not drawn, so a vertex mask s is
+    complete iff ``misses & need(s)`` is 0.
     """
     hypotheses = True
     for i in range(len(masks)):
@@ -439,26 +459,26 @@ def _position_implication(drawn: AbstractSet[int], need: Callable[[int], Tuple[i
         for j, s in enumerate(masks):
             if j != i:
                 union |= s
-        if not drawn.issuperset(need(union)):
+        if misses & need(union):
             hypotheses = False
             break
     full = 0
     for s in masks:
         full |= s
-    return hypotheses, drawn.issuperset(need(full))
+    return hypotheses, not misses & need(full)
 
 
 def implication_trials(k: int, n: int, trials: int, seed: int) -> TrialsSummary:
     """Randomized stress of the implication: zero counterexamples expected.
 
     Densities are skewed high so the hypotheses actually fire a useful
-    fraction of the time.  A trial draws its hypergraph as the positions of
-    its edges in ``edge_universe(n, k)``, with the draws of
-    ``random_hypergraph``, and its k + 1 sets as vertex masks, so no trial
-    builds a Hypergraph; ``completeness_implication`` is the rule's oracle.
-    The density is ``choice(densities)``, each set ``sample(range(n),
-    randint(0, min(n, 4)))``, drawn as those calls draw by ``_below`` and
-    ``_sample_mask``.
+    fraction of the time.  A trial draws its hypergraph as the miss mask of
+    ``_draw_misses``, with the draws of ``random_hypergraph``, and its k + 1
+    sets as vertex masks, so no trial builds a Hypergraph;
+    ``completeness_implication`` is the rule's oracle, and a counterexample
+    lists the drawn edges.  The density is ``choice(densities)``, each set
+    ``sample(range(n), randint(0, min(n, 4)))``, drawn as those calls draw by
+    ``_below`` and ``_sample_mask``.
     """
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
@@ -469,15 +489,15 @@ def implication_trials(k: int, n: int, trials: int, seed: int) -> TrialsSummary:
     held = 0
     bad: List[dict] = []
     for _ in range(trials):
-        kept = _draw_positions(len(universe), densities[_below(getrandbits, 5)], rng)
+        misses = _draw_misses(getrandbits, len(universe), densities[_below(getrandbits, 5)])
         masks = [_sample_mask(getrandbits, n, _below(getrandbits, most + 1)) for _ in range(k + 1)]
-        hypotheses, conclusion = _position_implication(set(kept), need, masks)
+        hypotheses, conclusion = _position_implication(misses, need, masks)
         if hypotheses:
             held += 1
             if not conclusion:
                 bad.append(
                     {
-                        "edges": [universe[j] for j in kept],  # increasing j: sorted
+                        "edges": _kept_edges(universe, misses),  # lex order: sorted
                         "sets": [_members(s) for s in masks],
                     }
                 )

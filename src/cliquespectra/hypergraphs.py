@@ -28,12 +28,15 @@ canonical by construction.
 
 ``edge_universe(n, k)`` lists the possible edges in lexicographic order (it
 checks k and n), and a position in it names an edge.  ``random_hypergraph``
-draws the positions it keeps with ``_draw_positions``, one ``rng.random()``
-per possible edge in that order; ``extraction.implication_trials`` makes the
-same draws and keeps only the positions.  ``_below`` and ``_sample_mask`` draw
-what ``randrange`` and ``random.sample`` draw, from ``getrandbits`` alone, and
-return a sample as a vertex mask; the seeded loops make all their draws but
-the edge draws with them.
+keeps a position when one ``rng.random()`` in that order falls below p.
+``_draw_misses`` decides every such draw at once from one ``getrandbits``
+call, in 64-bit lanes that rebuild ``random()``'s two-word value, and returns
+the miss mask: bit j set where the edge at position j was not drawn.
+``random_hypergraph`` keeps the edges of the clear bits (``_kept_edges``), and
+``extraction.implication_trials`` keeps only the mask.  ``_below``
+and ``_sample_mask`` draw what ``randrange`` and ``random.sample`` draw, from
+``getrandbits`` alone, and return a sample as a vertex mask, so the seeded
+loops read the generator only through ``getrandbits``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, List, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
 
 VertexSet = FrozenSet[int]
 
@@ -300,10 +303,45 @@ def edge_universe(n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(n), k))
 
 
-def _draw_positions(count: int, edge_probability: float, rng: random.Random) -> List[int]:
-    """Positions j < count kept by one ``rng.random() < edge_probability`` each, in order."""
-    draw = rng.random
-    return [j for j in range(count) if draw() < edge_probability]
+@functools.lru_cache(maxsize=32)
+def _lane_constants(count: int, edge_probability: float) -> Tuple[int, int, int]:
+    """``_draw_misses``'s two masks and addend, repeated in ``count`` 64-bit lanes.
+
+    The addend is 8 * (2^53 - T), with T = ceil(p * 2^53) the count of 53-bit
+    values x with x / 2^53 < p (0 for p <= 0 and NaN, 2^53 for p >= 1), plus
+    the digit "0" (0x30) in the lane's top byte.
+    """
+    if not edge_probability > 0:
+        threshold = 0
+    elif edge_probability >= 1:
+        threshold = 1 << 53
+    else:
+        threshold = math.ceil(edge_probability * (1 << 53))
+    ones = int.from_bytes(b"\x01".ljust(8, b"\x00") * count, "little")
+    return ones * 0xFFFFFFE0, ones * 0x1FFFFFF8, ones * (((1 << 53) - threshold) << 3 | 0x30 << 56)
+
+
+def _draw_misses(getrandbits: Callable[[int], int], count: int, edge_probability: float) -> int:
+    """Bit j is set iff the j-th of ``count`` calls of ``random()`` would return
+    a value >= edge_probability, from one ``getrandbits(64 * count)`` call.
+
+    ``random()`` is (a * 2^26 + b) / 2^53 with a = w0 >> 5 and b = w1 >> 6, for
+    its two 32-bit words, and ``getrandbits`` lays the words out from the least
+    significant, so draw j is the 64-bit lane j, w0 below w1.  Each lane forms
+    8x, x = a * 2^26 + b in bits 3..55, and adds the addend: the carry into
+    bit 56 turns the top byte's "0" into "1" exactly when x >= T, that is when
+    ``random() >= p``.  The top bytes, from the last lane down, are the mask
+    in binary.
+    """
+    high, low, addend = _lane_constants(count, edge_probability)
+    words = getrandbits(64 * count)
+    x8 = (words & high) << 24 | words >> 35 & low
+    return int((x8 + addend).to_bytes(8 * count, "big")[::8] or b"0", 2)
+
+
+def _kept_edges(universe: Sequence[Tuple[int, ...]], misses: int) -> List[Tuple[int, ...]]:
+    """The edges of ``universe`` at the positions whose bit in ``misses`` is clear, in order."""
+    return [universe[j] for j in _members(~misses & (1 << len(universe)) - 1)]
 
 
 def _below(getrandbits: Callable[[int], int], m: int) -> int:
@@ -349,11 +387,12 @@ def _sample_mask(getrandbits: Callable[[int], int], bits: int, m: int) -> int:
 def random_hypergraph(n: int, k: int, edge_probability: float, rng: random.Random) -> Hypergraph:
     """Each possible edge kept independently with the given probability.
 
-    One draw per possible edge, in the lexicographic order of ``edge_universe``.
+    One ``random()`` draw per possible edge, in the lexicographic order of
+    ``edge_universe``, decided by ``_draw_misses``.
     """
     universe = edge_universe(n, k)
-    kept = _draw_positions(len(universe), edge_probability, rng)
-    return Hypergraph._canonical(k, n, [universe[j] for j in kept])
+    misses = _draw_misses(rng.getrandbits, len(universe), edge_probability)
+    return Hypergraph._canonical(k, n, _kept_edges(universe, misses))
 
 
 # ---------------------------------------------------------------------------

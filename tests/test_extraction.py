@@ -351,7 +351,10 @@ class TestCompletenessImplication:
         for _ in range(1200):
             k, n = rng.randint(2, 5), rng.randint(1, 10)
             H = random_hypergraph(n, k, rng.choice((0.3, 0.7, 0.9, 1.0)), rng)
-            drawn = {j for j, e in enumerate(edge_universe(n, k)) if e in H.edges}
+            misses = 0  # bit j set where H lacks the edge at position j of edge_universe
+            for j, e in enumerate(edge_universe(n, k)):
+                if e not in H.edges:
+                    misses |= 1 << j
             need = _subset_positions(n, k)
             sets = []
             for _ in range(k + 1):
@@ -365,17 +368,17 @@ class TestCompletenessImplication:
                 else:
                     sets.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
             masks = [sum(1 << v for v in s) for s in sets]
-            got = _position_implication(drawn, need, masks)
+            got = _position_implication(misses, need, masks)
             assert got == completeness_implication(H, sets)
             for s, mask in zip(sets, masks):
-                assert drawn.issuperset(need(mask)) == H.is_complete(s)
+                assert (not misses & need(mask)) == H.is_complete(s)
             held += got[0]
             covering += frozenset(range(n)) in sets
         assert 100 < held < 1100 and covering > 100
 
     def test_counterexample_path_records_the_drawn_trial(self, monkeypatch, capsys):
         # a rule that denies every conclusion turns each trial into a counterexample
-        monkeypatch.setattr(extraction, "_position_implication", lambda drawn, need, masks: (True, False))
+        monkeypatch.setattr(extraction, "_position_implication", lambda misses, need, masks: (True, False))
         k, n, trials, seed = 3, 7, 25, 5
         rng = random.Random(seed)
         want = []
@@ -392,17 +395,19 @@ class TestCompletenessImplication:
         )
 
     def test_seeded_stream_is_pinned(self, capsys):
-        # Values of the seeded draw order; a change to it must fail here.
-        for (k, n), held in {(2, 12): 573, (3, 10): 501, (4, 9): 494}.items():
-            summary = implication_trials(k, n, 1500, seed=1)
-            assert (summary.trials, summary.hypotheses_held, summary.counterexamples) == (1500, held, ())
+        # Values of the seeded draw order; a change to it must fail here.  (3, 30)
+        # draws 4,060 edges a trial, so its miss masks span thousands of lanes.
+        pins = {(2, 12, 1500, 1): 573, (3, 10, 1500, 1): 501, (4, 9, 1500, 1): 494,
+                (3, 30, 800, 4): 251}
+        for (k, n, trials, seed), held in pins.items():
+            summary = implication_trials(k, n, trials, seed)
+            assert (summary.trials, summary.hypotheses_held, summary.counterexamples) == (trials, held, ())
         assert run(["check-fact1", "--k", "3", "--n", "10", "--trials", "1500", "--seed", "1"]) == 0
         assert capsys.readouterr().out == "1500 trials, hypotheses held in 501, counterexamples: 0\n"
 
     def test_set_rejection_stream_is_pinned(self, capsys):
         # n = 30 exceeds random.sample's pool size for at most 4 vertices, so the
-        # set draws take its rejection branch; the pins above cover the pool branch
-        assert implication_trials(3, 30, 800, seed=4) == TrialsSummary(800, 251, ())
+        # set draws take its rejection branch (its held count is pinned above)
         assert run(["check-fact1", "--k", "3", "--n", "30", "--trials", "800", "--seed", "4"]) == 0
         assert capsys.readouterr().out == "800 trials, hypotheses held in 251, counterexamples: 0\n"
 

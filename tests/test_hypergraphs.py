@@ -12,7 +12,7 @@ from cliquespectra.hypergraphs import (
     Hypergraph,
     ParseError,
     _below,
-    _draw_positions,
+    _draw_misses,
     _sample_mask,
     brute_force_maximal_cliques,
     clique_spectrum,
@@ -434,7 +434,8 @@ class TestConstruction:
 
     def test_draws_match_the_per_subset_loop(self):
         """The draw helper and random_hypergraph keep the edges, and leave the
-        RNG where, the loop over the k-subsets in lex order left them."""
+        RNG where, the loop over the k-subsets in lex order left them: one
+        random() per subset, kept when below p."""
         def per_subset_loop(n, k, p, rng):
             return [combo for combo in itertools.combinations(range(n), k) if rng.random() < p]
 
@@ -447,11 +448,45 @@ class TestConstruction:
                     after = oracle_rng.random()
                     universe = edge_universe(n, k)
                     rng = random.Random(seed)
-                    assert [universe[j] for j in _draw_positions(len(universe), p, rng)] == want
+                    misses = _draw_misses(rng.getrandbits, len(universe), p)
+                    assert [e for j, e in enumerate(universe) if not misses >> j & 1] == want
                     assert rng.random() == after
                     rng = random.Random(seed)
                     assert sorted(random_hypergraph(n, k, p, rng).edges) == want
                     assert rng.random() == after
+
+    def test_draw_rule_matches_random_at_its_edges(self):
+        """_draw_misses decides random() < p draw by draw, from one getrandbits
+        call, and leaves the generator where count calls of random() leave it:
+        p at, below and above 0 and 1, NaN and infinity, counts up to the
+        C(30, 3) = 4,060 positions of check-fact1's largest pinned case, and
+        chosen words whose value lies at the threshold."""
+        grid = random.Random(2026)
+        probabilities = [0, -0.5, math.nan, 1, 1.0, 1.5, math.inf, 0.25, 0.5, 0.8, 0.95]
+        probabilities += [grid.random() for _ in range(3)]
+        counts = list(range(130)) + [255, 256, 257, 1000, 4059, 4060]
+        counts += [grid.randrange(4061) for _ in range(4)]
+        for count in counts:
+            for p in probabilities:
+                seed = grid.getrandbits(32)
+                want, got = random.Random(seed), random.Random(seed)
+                kept = [j for j in range(count) if want.random() < p]
+                misses = _draw_misses(got.getrandbits, count, p)
+                assert 0 <= misses < 1 << count
+                assert [j for j in range(count) if not misses >> j & 1] == kept, (count, p)
+                assert got.getstate() == want.getstate(), (count, p)  # count 0: no word
+        # Values at the threshold T = ceil(p * 2^53), which random draws almost never
+        # meet, for p on and off the 2^-53 grid, with the bits random() drops set or
+        # clear: random() is (a * 2^26 + b) / 2^53 for a = w0 >> 5 and b = w1 >> 6.
+        for p in (0.3, 0.1, 2 ** -60, 0.75, 1 - 2 ** -53):
+            threshold = math.ceil(p * 2 ** 53)
+            draws = [(x >> 26, x & (2 ** 26 - 1), dropped)
+                     for x in range(max(threshold - 2, 0), min(threshold + 2, 2 ** 53))
+                     for dropped in (0, 1, 31)]
+            words = sum((a << 5 | d | (b << 6 | d) << 32) << 64 * j for j, (a, b, d) in enumerate(draws))
+            misses = _draw_misses(lambda bits: words, len(draws), p)
+            for j, (a, b, _) in enumerate(draws):
+                assert misses >> j & 1 == (not (a * 67108864.0 + b) / 9007199254740992.0 < p), (p, j)
 
     def test_exact_draws_match_the_stdlib(self):
         """_sample_mask and _below return what random.sample and randrange

@@ -4,7 +4,10 @@ Natural numbers are kept exact (arbitrary precision) while they fit in
 BIT_CAP = 2^20 bits; past the cap they escalate to certified enclosures.
 Each end of an enclosure is one shape, a pair (height, top) standing for the
 power tower 2^2^...^top with `height` twos, so height 0 is the exact value
-`top`.  Every operation preserves ``lower <= true value <= upper``, and
+`top`.  The constructor puts both ends in canonical form, so an int past the
+cap enters as an enclosure by every path (``from_int``, a sum, ``pow2``, a
+literal), and whether a value is exact depends on the value alone.  Every
+operation preserves ``lower <= true value <= upper``, and
 comparisons are three-valued: they answer only when the enclosures certify an
 order (otherwise ``None``).
 
@@ -25,17 +28,25 @@ from typing import Optional, Tuple
 BIT_CAP = 1 << 20
 
 # A bound is a pair (height, top) standing for 2^2^...^2^top with `height`
-# twos; height 0 is the exact int top.  Canonical bounds keep height 0 while
-# the value fits in BIT_CAP bits, so a tower's top is at least BIT_CAP: 2^top
-# would not fit.
+# twos; height 0 is the exact int top.  TowerInt keeps its ends canonical
+# (``_canon``): height 0 exactly while the value fits in BIT_CAP bits, so a
+# tower's top is at least BIT_CAP: 2^top would not fit.
 Bound = Tuple[int, int]
 
 
-def _canon(height: int, top: int) -> Bound:
-    """Collapse a (height, top) tower towards height 0 while it fits the cap."""
+def _canon(bound: Bound, upper: bool) -> Bound:
+    """One end in canonical form: height 0 exactly while the value fits the cap.
+
+    A tower collapses while its top is under the cap; an int past the cap rises
+    to the power of two at or below it (a lower end) or at or above it (an upper end).
+    """
+    height, top = bound
     while height > 0 and top < BIT_CAP:
         top = 1 << top  # top+1 bits, still within the cap
         height -= 1
+    if height == 0 and top.bit_length() > BIT_CAP:
+        exp = top.bit_length() - 1  # >= BIT_CAP, so (1, exp) is canonical
+        height, top = 1, exp + 1 if upper and top & (top - 1) else exp
     return (height, top)
 
 
@@ -67,17 +78,6 @@ def _bump(b: Bound) -> Bound:
     return (height, top + 1) if height else (0, 2 * top)
 
 
-def _enclose(value: int) -> Tuple[Bound, Bound]:
-    """An exact int while it fits the cap, else the adjacent powers of two around it."""
-    if value.bit_length() <= BIT_CAP:
-        return (0, value), (0, value)
-    floor_exp = value.bit_length() - 1
-    lo = (1, floor_exp)  # canonical: floor_exp >= BIT_CAP
-    if value & (value - 1) == 0:
-        return lo, lo
-    return lo, (1, floor_exp + 1)
-
-
 _SPELLED_HEIGHT = 4  # towers with more twos than this print as 2^^height(top)
 
 
@@ -101,20 +101,24 @@ class TowerInt:
     """Exact-or-enclosed natural number between two (height, top) bounds.
 
     ``lower == upper`` at height 0 means the value is exact.  Tower endpoints
-    with ``lower == upper`` certify the value without materializing it.
+    with ``lower == upper`` certify the value without materializing it.  The
+    ends given are stored in canonical form, so callers build raw ends.
     """
 
     lower: Bound
     upper: Bound
 
     def __post_init__(self):
-        if self.lower[1] < 0:
+        if self.lower[1] < 0 or self.upper[1] < 0:
             raise ValueError("TowerInt values are nonnegative")
+        object.__setattr__(self, "lower", _canon(self.lower, False))
+        object.__setattr__(self, "upper", _canon(self.upper, True))
         if _bound_cmp(self.lower, self.upper) > 0:
             raise ValueError("enclosure lower bound exceeds upper bound")
 
     @classmethod
     def from_int(cls, value: int) -> "TowerInt":
+        """The exact value while it fits the cap, else the powers of two around it."""
         if not isinstance(value, int) or value < 0:
             raise ValueError("expected a nonnegative integer")
         return cls((0, value), (0, value))
@@ -164,21 +168,15 @@ class TowerInt:
     def add(self, other: "TowerInt | int") -> "TowerInt":
         other = as_tower(other)
         (h1, t1), (h2, t2) = self.lower, other.lower
+        lo = (0, t1 + t2) if h1 == h2 == 0 else max(self.lower, other.lower, key=_bound_key)
         if self.is_exact and other.is_exact:
-            return TowerInt(*_enclose(t1 + t2))
-        if h1 == h2 == 0:
-            lo = _enclose(t1 + t2)[0]
-        else:
-            lo = max(self.lower, other.lower, key=_bound_key)
-        hi = _bump(max(self.upper, other.upper, key=_bound_key))
-        if hi[0] == 0:
-            hi = _enclose(hi[1])[1]
-        return TowerInt(lo, hi)
+            return TowerInt(lo, lo)
+        return TowerInt(lo, _bump(max(self.upper, other.upper, key=_bound_key)))
 
     def pow2(self) -> "TowerInt":
         """2 raised to this value, exact while it fits under the cap."""
         (h1, t1), (h2, t2) = self.lower, self.upper
-        return TowerInt(_canon(h1 + 1, t1), _canon(h2 + 1, t2))
+        return TowerInt((h1 + 1, t1), (h2 + 1, t2))
 
     def describe(self) -> str:
         if self.is_point:
@@ -204,7 +202,7 @@ def parse_tower_literal(text: str) -> TowerInt:
         raise ValueError("tower literals denote nonnegative integers")
     if any(p != "2" for p in parts[:-1]):
         raise ValueError(f"tower literals must stack 2s: {text!r}")
-    b = _canon(len(parts) - 1, top)
+    b = (len(parts) - 1, top)
     return TowerInt(b, b)
 
 
@@ -330,18 +328,16 @@ def slack_lower_bound(n: "TowerInt | int") -> float:
 def min_slack_for(n: "TowerInt | int") -> int:
     """Smallest offset C >= 0 with n - C <= s_{2^C} in the greedy recurrence.
 
-    Evaluation early-exits once a partial s_i already certifies s_i + C >= n,
-    so astronomically large terms are never materialized.
+    Each offset tests s_{2^C} alone: lower ends only grow along the
+    recurrence, so no earlier s_i certifies s_i + C >= n where s_{2^C} does
+    not.  Terms past the cap are enclosures, never materialized.
     """
     target = as_tower(n)
     if _bound_cmp(target.lower, (0, 1)) < 0:
         raise ValueError("n must be >= 1")
     for offset in itertools.count():
-        s = TowerInt.from_int(1)
-        for _ in range(1 << offset):
-            s = s.add(offset).pow2().add(s)
-            if s.add(offset).certainly_ge(target):
-                return offset
+        if size_recurrence(offset, 1 << offset).add(offset).certainly_ge(target):
+            return offset
 
 
 VARIANTS = ("claim23", "claim24")

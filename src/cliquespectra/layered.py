@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Tuple
 
-from .bounds import TowerInt, size_recurrence, tree_size_bound
+from .bounds import MAX_ROUNDS, TowerInt, size_recurrence, tree_size_bound
 from .hypergraphs import ParseError
 
 
@@ -176,7 +176,7 @@ def max_layered_size(params: LayeredParams) -> MaxTreeSize:
     if params.depth == 1:
         return MaxTreeSize(tree_size_bound(1, params.offset), "exact")
     if params.depth == 2:
-        if params.offset > 20:
+        if params.offset >= MAX_ROUNDS.bit_length():  # 2^offset > MAX_ROUNDS
             raise ValueError(f"depth-2 maximum needs 2^{params.offset} recurrence steps")
         return MaxTreeSize(size_recurrence(params.offset, 1 << params.offset), "exact")
     return MaxTreeSize(tree_size_bound(params.depth, params.offset), "upper_bound")
@@ -194,7 +194,7 @@ def build_greedy_max_tree(offset: int) -> OrderedTree:
     """
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    target = size_recurrence(offset, 1 << offset) if offset <= 20 else None
+    target = size_recurrence(offset, 1 << offset) if offset < MAX_ROUNDS.bit_length() else None
     if target is None or not target.is_exact or target.to_int() > GREEDY_TREE_CAP:
         size = target.describe() if target is not None else f"s_(2^{offset})"
         raise ValueError(f"tree would need {size} vertices, over the cap of {GREEDY_TREE_CAP}")

@@ -69,6 +69,8 @@ class TestTowerInt:
         assert not enc.certainly_gt(exact)
         assert not enc.certainly_lt(exact)
         assert enc.certainly_ge(1 << (s2 + 3)) and enc.certainly_le(1 << (s2 + 4))
+        # an int past the cap is itself an enclosure, so check the ends as ints too
+        assert _value(enc.lower) <= exact <= _value(enc.upper)
 
     def test_recurrence_enclosures_render(self):
         # s_i for offsets 0..3 and every index up to 2^offset, in that order;
@@ -125,6 +127,7 @@ class TestTowerInt:
         assert enc.is_exact == ((x + y).bit_length() <= BIT_CAP)
         assert not enc.certainly_gt(x + y)
         assert not enc.certainly_lt(x + y)
+        assert _value(enc.lower) <= x + y <= _value(enc.upper)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=BIT_CAP - 60, max_value=BIT_CAP + 60))
@@ -133,10 +136,11 @@ class TestTowerInt:
         assert enc.is_exact == (e < BIT_CAP)
         assert not enc.certainly_gt(1 << e)
         assert not enc.certainly_lt(1 << e)
+        assert _value(enc.lower) <= 1 << e <= _value(enc.upper)
 
     def test_power_of_two_past_cap_is_a_point(self):
-        # an exact power of two past the cap encloses as the point tower 2^e
-        p = TowerInt.from_int(1 << BIT_CAP).add(0)
+        # an exact power of two past the cap enters as the point tower 2^e
+        p = TowerInt.from_int(1 << BIT_CAP)
         assert p.is_point and not p.is_exact
         assert p.lower == (1, BIT_CAP)
         assert p.cmp(1 << BIT_CAP) == 0
@@ -145,17 +149,14 @@ class TestTowerInt:
         assert q.describe() == "[2^1048576, 2^1048577]"
 
     def test_add_with_height_zero_lower_ends(self):
-        # an exact int past the cap stays the larger lower end of a sum
-        big = 1 << (BIT_CAP + 5)
-        over = TowerInt.from_int(1 << BIT_CAP).add(1)  # [2^2^20, 2^(2^20+1)]
-        mixed = TowerInt.from_int(big).add(over)
-        assert mixed.lower == (0, big) and not mixed.is_exact
-        assert mixed.upper == (1, BIT_CAP + 6)  # 2 * big, re-enclosed as a point tower
         # both lower ends at height 0, not both exact: their sum is enclosed,
         # and past the cap it rises to a tower
-        assert mixed.add(1).lower == (1, BIT_CAP + 5)
+        edge = (1 << BIT_CAP) - 1  # the largest value kept exact
+        mixed = TowerInt((0, edge), (1, BIT_CAP + 1))
+        total = mixed.add(edge)
+        assert total.lower == (1, BIT_CAP) and total.upper == (1, BIT_CAP + 2)
         assert TowerInt((0, 5), (1, BIT_CAP)).add(3).describe() == "[8, 2^1048577]"
-        for enc, other in ((mixed, 1), (TowerInt((0, 5), (1, BIT_CAP)), 3)):
+        for enc, other in ((mixed, edge), (TowerInt((0, 5), (1, BIT_CAP)), 3)):
             total = enc.add(other)
             assert _value(total.lower) <= _value(enc.lower) + other
             assert _value(total.upper) >= _value(enc.upper) + other
@@ -170,9 +171,25 @@ class TestTowerInt:
             assert _value(total.upper) >= top + 1
         assert TowerInt((0, 5), (0, 1 << BIT_CAP)).add(1).describe() == "[6, 2^1048577]"
 
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_kind_depends_on_the_value_alone(self, delta):
+        # every path to a value at the cap gives the same ends, so is_exact
+        # and to_int answer the same however the value was reached
+        value = (1 << BIT_CAP) + delta
+        ways = [
+            TowerInt.from_int(value),
+            TowerInt.from_int(value - 1).add(1),
+            TowerInt((0, value), (0, value)),
+        ]
+        assert len({(t.lower, t.upper) for t in ways}) == 1
+        assert ways[0].is_exact == (value < 1 << BIT_CAP)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             TowerInt.from_int(-1)
+        # the sign is checked before an end is put in canonical form
+        with pytest.raises(ValueError, match="nonnegative"):
+            TowerInt((1, -1), (1, 3))
 
 
 class TestTowerLiterals:
@@ -252,6 +269,8 @@ class TestSlackBounds:
         assert min_slack_for(3) == 0
         assert min_slack_for(1) == 0
         assert min_slack_for(100) == 2
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            min_slack_for(0)
 
     def test_min_slack_handles_towers(self):
         assert min_slack_for(parse_tower_literal("2^2^2^2^16")) >= 2
@@ -262,6 +281,8 @@ class TestSlackBounds:
         assert size_recurrence(1, 2).to_int() == 69
         with pytest.raises(ValueError):
             size_recurrence(0, 2)  # index beyond 2^offset
+        with pytest.raises(ValueError, match="offset must be >= 0"):
+            size_recurrence(-1, 0)
 
 
 class TestTreeSizeBound:
@@ -295,6 +316,10 @@ class TestTreeSizeBound:
     def test_unmaterializable_recursion_refuses(self):
         with pytest.raises(ValueError, match="rounds"):
             tree_size_bound(3, 1)
+
+    def test_depth_below_one_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            tree_size_bound(0, 1)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

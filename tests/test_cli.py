@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -11,7 +10,9 @@ import pytest
 
 from cliquespectra import search
 from cliquespectra.cli import build_parser, run
-from cliquespectra.hypergraphs import Hypergraph, random_hypergraph, serialize_hypergraph
+from cliquespectra.hypergraphs import random_hypergraph, serialize_hypergraph
+
+from builders import join_of_clique_pairs, triangle_lift
 
 SINGLE_EDGE_TEXT = "3 4\n0 1 2\n"
 STAR_TREE_TEXT = "3\n0\n0\n"
@@ -22,25 +23,6 @@ def single_edge_file(tmp_path):
     path = tmp_path / "H.hg"
     path.write_text(SINGLE_EDGE_TEXT)
     return str(path)
-
-
-def join_of_clique_pairs(m):
-    """The join of the graphs K_1 + K_(1+2^i), i < m: 2^m clique sizes on 2m + 2^m - 1 vertices."""
-    parts, edges = [], set()
-    for i in range(m):
-        start = parts[-1][-1] + 1 if parts else 0
-        parts.append(range(start, start + 2 + (1 << i)))  # the K_1, then the block
-        edges.update(itertools.combinations(parts[-1][1:], 2))
-    for a, b in itertools.combinations(parts, 2):
-        edges.update(itertools.product(a, b))
-    return Hypergraph.from_edges(2, parts[-1][-1] + 1, edges)
-
-
-def triangle_lift(G):
-    """The 3-graph whose edges are the triangles of the graph G."""
-    triangles = [t for t in itertools.combinations(range(G.n), 3)
-                 if all(pair in G.edges for pair in itertools.combinations(t, 2))]
-    return Hypergraph.from_edges(3, G.n, triangles)
 
 
 def _strip_walltime(raw):
@@ -482,6 +464,21 @@ class TestUsageContract:
 
     def test_no_command(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        ("max-tree --k 2 --C -1", "--C must be >= 0"),
+        ("max-tree --k 1 --C 21", "depth-1 maximum over 2^20 leaves is not materializable"),
+        ("search-g --n 0 --k 2", "need --n >= 1 and --k >= 2"),
+        ("search-g --n 5 --k 3 --shards 4 --shard 4", "--shard must be in 0..3"),
+        ("search-g --n 5 --k 3 --shards 0", "need at least one shard"),
+        ("bound --k 0 --C 0", "need --k >= 1 and --C >= 0"),
+        ("check-fact1 --k 2 --n 5 --trials 0", "need --k >= 2, --n >= 1, --trials >= 1"),
+    ])
+    def test_out_of_range_values_are_one_line_errors(self, argv, message, capsys):
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def _python(*args):

@@ -26,11 +26,9 @@ from cliquespectra.hypergraphs import (
 )
 from cliquespectra.layered import OrderedTree
 
+from builders import complete_graph
+
 SINGLE_EDGE = Hypergraph.from_edges(3, 4, [(0, 1, 2)])
-
-
-def complete_graph(k, n):
-    return Hypergraph.from_edges(k, n, itertools.combinations(range(n), k))
 
 
 def all_hypergraphs(k, n):
@@ -201,6 +199,8 @@ class TestValidateCertificate:
         chain, paths = result.chain, result.certificate
         assert [pd.path for pd in paths] == [(0, 1), (0, 2)]
         cases += [
+            (H, dataclasses.replace(result, tree=OrderedTree((0,))),
+             "tree has 2 vertices for 3 chain cliques"),
             (H, dataclasses.replace(result, chain=dataclasses.replace(chain, C=-1)),
              "C = -1 is not an integer >= 0"),
             (H, dataclasses.replace(result, chain=dataclasses.replace(chain, C=0.5)),
@@ -235,6 +235,33 @@ class TestValidateCertificate:
                 (name, [note] if name == "stored_matches_derived" else [f"not evaluated: {note}"])
                 for name in extraction.CHECK_NAMES
             ]
+
+    def test_root_path_of_length_three(self):
+        # the only pinned certificate whose deepest path has r = 3, so
+        # containment_chain's union over the other slices runs; S_1 copied
+        # into S_2 is then caught by slices_disjoint
+        H = random_hypergraph(7, 4, 0.8, random.Random(70))
+        result = extract_tree(H)
+        assert result.tree.parents == (0, 1, 2)
+        assert result.certificate[-1].path == (0, 1, 2, 3)
+        assert validate_certificate(result, H) == []
+        paths = result.certificate
+        S = paths[-1].S
+        overlap = dataclasses.replace(paths[-1], S=S[:2] + (S[2] | S[1],) + S[3:])
+        violations = validate_certificate(
+            dataclasses.replace(result, certificate=paths[:-1] + (overlap,)), H)
+        assert "slices_disjoint: node 3: S_1 meets S_2" in violations
+
+    def test_children_sharing_a_slice_are_named(self):
+        # the 6-vertex graph of test_root_degree_forged_above_budget: X_2 made
+        # equal to X_1 gives the root's two children the same slice
+        H = Hypergraph.from_edges(2, 6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        result = extract_tree(H)
+        chain = result.chain
+        cliques = chain.cliques[:2] + (chain.cliques[1],)
+        violations = validate_certificate(
+            dataclasses.replace(result, chain=dataclasses.replace(chain, cliques=cliques)), H)
+        assert "children_distinct: children 1 and 2 of 0 share a slice" in violations
 
     def test_every_tampering_is_caught(self):
         """Single-field tamperings of each certified result: a rewired

@@ -23,15 +23,12 @@ from cliquespectra.hypergraphs import (
     serialize_hypergraph,
 )
 from cliquespectra.search import hypergraph_from_edge_index
-from test_cli import join_of_clique_pairs
+
+from builders import complete_graph, join_of_clique_pairs
 
 SINGLE_EDGE = Hypergraph.from_edges(3, 4, [(0, 1, 2)])
 EDGELESS_33 = Hypergraph.from_edges(3, 3, [])
 PATH_GRAPH = Hypergraph.from_edges(2, 3, [(0, 1), (1, 2)])
-
-
-def complete_graph(k, n):
-    return Hypergraph.from_edges(k, n, itertools.combinations(range(n), k))
 
 
 def per_vertex_extenders(H, s):

@@ -150,6 +150,10 @@ class TestMaxSizes:
                 got = brute_force_max_layered(LayeredParams(depth, offset), 8)
                 assert got == min(exact, 8)
 
+    def test_depth_two_step_cap(self):
+        with pytest.raises(ValueError, match=r"^depth-2 maximum needs 2\^21 recurrence steps$"):
+            max_layered_size(LayeredParams(2, 21))
+
     def test_brute_force_cap_guard(self):
         with pytest.raises(ValueError):
             brute_force_max_layered(LayeredParams(2, 0), 9)
@@ -178,6 +182,9 @@ class TestGreedyMaxTree:
     def test_cap_refusal_names_required_size(self):
         with pytest.raises(ValueError, match="vertices"):
             build_greedy_max_tree(2)
+        # past the recurrence's step cap the size is named, not computed
+        with pytest.raises(ValueError, match=r"need s_\(2\^21\) vertices"):
+            build_greedy_max_tree(21)
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_local_maximality(self, offset):
@@ -233,6 +240,10 @@ class TestTreeFormat:
             parse_tree("3\n0\n")
         with pytest.raises(ParseError, match="more than"):
             parse_tree("2\n0\n0\n")
+        with pytest.raises(ParseError, match="expected an integer, got 'x'"):
+            parse_tree("3\nx\n")
+        with pytest.raises(ParseError, match="vertex count must be >= 1"):
+            parse_tree("0\n")
 
     def test_comments_allowed(self):
         assert parse_tree("# tree\n3\n0\n# mid\n1\n") == PATH3

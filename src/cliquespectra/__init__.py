@@ -38,6 +38,7 @@ from .layered import (
     Violation,
     brute_force_max_layered,
     build_greedy_max_tree,
+    build_star_max_tree,
     contract,
     is_dfs_order,
     max_layered_size,

@@ -234,9 +234,7 @@ def _cmd_max_tree(args) -> int:
     if args.C < 0:
         raise ValueError("--C must be >= 0")
     if args.k == 1:
-        if args.C > 20:
-            raise ValueError("depth-1 maximum over 2^20 leaves is not materializable")
-        tree = layered.star_tree(1 << args.C)
+        tree = layered.build_star_max_tree(args.C)
     else:
         tree = layered.build_greedy_max_tree(args.C)
     if layered.validate_layered(tree, layered.LayeredParams(args.k, args.C)):

@@ -182,7 +182,31 @@ def max_layered_size(params: LayeredParams) -> MaxTreeSize:
     return MaxTreeSize(tree_size_bound(params.depth, params.offset), "upper_bound")
 
 
-GREEDY_TREE_CAP = 1_000_000  # build_greedy_max_tree refuses trees past this many vertices
+GREEDY_TREE_CAP = 1_000_000  # the max-tree builders refuse trees past this many vertices
+
+
+def _max_tree_size(depth: int, offset: int) -> int:
+    """Vertex count of the largest (depth, offset) tree for depth 1 or 2.
+
+    ValueError when offset < 0 or the count passes GREEDY_TREE_CAP; past the
+    recurrence's step cap the depth-2 count is named, not computed.
+    """
+    if offset < 0:
+        raise ValueError("offset must be >= 0")
+    if depth == 1:
+        target = tree_size_bound(1, offset)
+    else:
+        target = size_recurrence(offset, 1 << offset) if offset < MAX_ROUNDS.bit_length() else None
+    if target is None or not target.is_exact or target.to_int() > GREEDY_TREE_CAP:
+        size = target.describe() if target is not None else f"s_(2^{offset})"
+        raise ValueError(f"tree would need {size} vertices, over the cap of {GREEDY_TREE_CAP}")
+    return target.to_int()
+
+
+def build_star_max_tree(offset: int) -> OrderedTree:
+    """Largest depth-1 tree for the given offset: the root with 2^offset leaves."""
+    _max_tree_size(1, offset)
+    return star_tree(1 << offset)
 
 
 def build_greedy_max_tree(offset: int) -> OrderedTree:
@@ -192,12 +216,7 @@ def build_greedy_max_tree(offset: int) -> OrderedTree:
     inserted and immediately saturated with the leaf count its own positional
     budget allows before the next child appears.
     """
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    target = size_recurrence(offset, 1 << offset) if offset < MAX_ROUNDS.bit_length() else None
-    if target is None or not target.is_exact or target.to_int() > GREEDY_TREE_CAP:
-        size = target.describe() if target is not None else f"s_(2^{offset})"
-        raise ValueError(f"tree would need {size} vertices, over the cap of {GREEDY_TREE_CAP}")
+    target = _max_tree_size(2, offset)
     parents: List[int] = []
     count = 1
     for _ in range(1 << offset):
@@ -207,8 +226,8 @@ def build_greedy_max_tree(offset: int) -> OrderedTree:
         leaves = (1 << (offset + pos)) - 1  # positional degree budget minus the root edge
         parents.extend([pos] * leaves)
         count += leaves
-    if count != target.to_int():
-        raise RuntimeError(f"greedy tree has {count} vertices, the recurrence {target.to_int()}")
+    if count != target:
+        raise RuntimeError(f"greedy tree has {count} vertices, the recurrence {target}")
     return OrderedTree(tuple(parents))
 
 

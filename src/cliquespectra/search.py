@@ -86,8 +86,12 @@ class SpectrumScanner:
     k it is complete iff it is an edge, and above k iff dropping any one of
     its k + 1 lowest vertices leaves a complete set (every k-subset of s
     misses one of them).  A complete s is a maximal clique where no s | {u}
-    is complete.  The lane masks of each size feed a bit-sliced counter whose
-    planes hold every lane's distinct-size count.
+    is complete.  Every subset of a complete set is complete, so the lanes of
+    the s | {u} lie within those of s: s is maximal in the lanes of s minus
+    their union, one `^` of nonnegative ints.  A set of fewer than k - 1
+    vertices is maximal in no lane unless it is the whole vertex set, so it
+    has no extension row.  The lane masks of each size feed a bit-sliced
+    counter whose planes hold every lane's distinct-size count.
     """
 
     def __init__(self, n: int, k: int):
@@ -107,7 +111,7 @@ class SpectrumScanner:
         full = (1 << n) - 1
         self.edge_sets = []  # (s, edge index) for |s| == k
         self.plan = []  # (s, s minus each of its k + 1 lowest vertices) for |s| > k
-        self.extensions = []  # (s, |s|, every s | {u})
+        self.extensions = []  # (s, |s|, every s | {u}) for |s| >= k - 1 and the full set
         for s in range(1, full + 1):
             size = s.bit_count()
             if size == k:
@@ -119,10 +123,11 @@ class SpectrumScanner:
                     drops.append(s ^ low)
                     rest ^= low
                 self.plan.append((s, tuple(drops)))
-            other = full ^ s
-            self.extensions.append(
-                (s, size, tuple(s | 1 << u for u in range(n) if other >> u & 1))
-            )
+            if size >= k - 1 or s == full:  # a smaller s | {u} is complete in every lane
+                other = full ^ s
+                self.extensions.append(
+                    (s, size, tuple(s | 1 << u for u in range(n) if other >> u & 1))
+                )
 
     def count_planes(self, base: int, width: int) -> List[int]:
         """Bit-sliced distinct-size counts of lanes base .. base + 2^width - 1.
@@ -151,11 +156,11 @@ class SpectrumScanner:
         by_size = [0] * (self.n + 1)
         for s, size, ups in self.extensions:
             lanes = comp[s]
-            for t in ups:
-                if not lanes:
-                    break
-                lanes &= ~comp[t]
-            by_size[size] |= lanes
+            if lanes:
+                up = 0
+                for t in ups:
+                    up |= comp[t]
+                by_size[size] |= lanes ^ up  # up lies within lanes, so ^ removes it
         planes: List[int] = []
         for lanes in by_size:
             p = 0

@@ -467,7 +467,10 @@ class TestUsageContract:
 
     @pytest.mark.parametrize("argv, message", [
         ("max-tree --k 2 --C -1", "--C must be >= 0"),
-        ("max-tree --k 1 --C 21", "depth-1 maximum over 2^20 leaves is not materializable"),
+        ("max-tree --k 1 --C 21", "tree would need 2097153 vertices, over the cap of 1000000"),
+        ("max-tree --k 1 --C 20", "tree would need 1048577 vertices, over the cap of 1000000"),
+        ("max-tree --k 2 --C 2",
+         "tree would need [2^(2^2059+2059), 2^(2^2059+2060)] vertices, over the cap of 1000000"),
         ("search-g --n 0 --k 2", "need --n >= 1 and --k >= 2"),
         ("search-g --n 5 --k 3 --shards 4 --shard 4", "--shard must be in 0..3"),
         ("search-g --n 5 --k 3 --shards 0", "need at least one shard"),

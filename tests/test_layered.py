@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from cliquespectra.bounds import size_recurrence
 from cliquespectra.hypergraphs import ParseError
 from cliquespectra.layered import (
+    GREEDY_TREE_CAP,
     LayeredParams,
     OrderedTree,
     brute_force_max_layered,
     build_greedy_max_tree,
+    build_star_max_tree,
     contract,
     is_dfs_order,
     max_layered_size,
@@ -185,6 +187,16 @@ class TestGreedyMaxTree:
         # past the recurrence's step cap the size is named, not computed
         with pytest.raises(ValueError, match=r"need s_\(2\^21\) vertices"):
             build_greedy_max_tree(21)
+
+    def test_both_depths_share_one_vertex_cap(self):
+        assert build_star_max_tree(19).size == (1 << 19) + 1 <= GREEDY_TREE_CAP
+        with pytest.raises(ValueError, match=r"^tree would need 1048577 vertices, over the cap of 1000000$"):
+            build_star_max_tree(20)  # 2^20 + 1 vertices
+        with pytest.raises(ValueError, match=r"^tree would need \(2\^1000000\+1\) vertices"):
+            build_star_max_tree(10 ** 6)  # refused before any tuple is built
+        for build in (build_star_max_tree, build_greedy_max_tree):
+            with pytest.raises(ValueError, match="offset must be >= 0"):
+                build(-1)
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_local_maximality(self, offset):

@@ -77,6 +77,34 @@ class TestScanner:
                 assert scanner.distinct_sizes(idx) == clique_spectrum(H).distinct_sizes
 
 
+    @pytest.mark.parametrize("n,k,blocks", [
+        (5, 3, 1),  # all 2^10 edge sets of (5, 3)
+        (7, 2, 3),
+        (6, 3, 3),
+        (7, 4, 3),
+    ])
+    def test_every_lane_of_whole_blocks_matches_the_reference(self, n, k, blocks):
+        """Each lane's count, read from the planes of width-10 blocks at random aligned bases."""
+        rng = random.Random(100 * n + k)
+        scanner = SpectrumScanner(n, k)
+        for _ in range(blocks):
+            base = rng.getrandbits(scanner.bits - 10) << 10
+            planes = scanner.count_planes(base, 10)
+            for i in range(1 << 10):
+                count = sum((plane >> i & 1) << p for p, plane in enumerate(planes))
+                H = hypergraph_from_edge_index(n, k, base + i)
+                assert count == clique_spectrum(H).distinct_sizes
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 6), (2, 3), (3, 4)])
+    def test_fewer_than_k_vertices(self, n, k):
+        """No edge can exist: the one maximal clique is the whole vertex set
+        (n < k - 1, a set with no extension row in the scanner) or, at n = k - 1,
+        the whole set again, as a (k - 1)-set no edge extends."""
+        assert len(edge_universe(n, k)) == 0
+        assert SpectrumScanner(n, k).count_planes(0, 0) == [1]
+        assert exhaustive_g(n, k)[0] == clique_spectrum(hypergraph_from_edge_index(n, k, 0)).distinct_sizes == 1
+
+
 def _oracle_scan(n, k, lo, hi):
     """(best, smallest index) over [lo, hi), one enumeration per index."""
     best, best_index = -1, -1

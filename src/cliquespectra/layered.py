@@ -186,11 +186,8 @@ GREEDY_TREE_CAP = 1_000_000  # the max-tree builders refuse trees past this many
 
 
 def _max_tree_size(depth: int, offset: int) -> int:
-    """Vertex count of the largest (depth, offset) tree for depth 1 or 2.
-
-    ValueError when offset < 0 or the count passes GREEDY_TREE_CAP; past the
-    recurrence's step cap the depth-2 count is named, not computed.
-    """
+    """Vertex count of the largest (depth, offset) tree for depth 1 or 2, or
+    ValueError past GREEDY_TREE_CAP; past MAX_ROUNDS steps it is named, not computed."""
     if offset < 0:
         raise ValueError("offset must be >= 0")
     if depth == 1:

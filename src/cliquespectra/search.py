@@ -7,8 +7,8 @@ for one graph, and one subset DP over bitmasks, which shares no code with
 `enumerate_maximal_cliques` (that engine re-checks the winner), counts every
 lane's distinct maximal-clique sizes at once.  The best count wins, then the
 smallest witnessing index.  On 2 CPUs with Python 3.11 all 2^21 graphs of
-(7, 2) take about 0.04 s, the 2^20 of (6, 3) 0.03 s, and the 2^28 of (8, 2)
-about 9 s in 64 shards.  Index ranges shard trivially and merge by one rule.
+(7, 2) take about 0.016 s, the 2^20 of (6, 3) 0.003 s, and the 2^28 of (8, 2)
+about 2.4 s in 64 shards.  Index ranges shard trivially and merge by one rule.
 A shard's result is the checkpoint of its one range, checked before the scan.
 A shard counts at most twice its own lanes: its piece of each block is
 counted in the smallest aligned block that holds it, in two halves when the

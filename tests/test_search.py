@@ -76,7 +76,6 @@ class TestScanner:
                 H = hypergraph_from_edge_index(n, k, idx)
                 assert scanner.distinct_sizes(idx) == clique_spectrum(H).distinct_sizes
 
-
     @pytest.mark.parametrize("n,k,blocks", [
         (5, 3, 1),  # all 2^10 edge sets of (5, 3)
         (7, 2, 3),

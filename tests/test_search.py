@@ -96,9 +96,8 @@ class TestScanner:
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 6), (2, 3), (3, 4)])
     def test_fewer_than_k_vertices(self, n, k):
-        """No edge can exist: the one maximal clique is the whole vertex set
-        (n < k - 1, a set with no extension row in the scanner) or, at n = k - 1,
-        the whole set again, as a (k - 1)-set no edge extends."""
+        """No edge fits, so the whole vertex set is the one maximal clique.  Below
+        k - 1 vertices it is the one set the scanner keeps an extension row for."""
         assert len(edge_universe(n, k)) == 0
         assert SpectrumScanner(n, k).count_planes(0, 0) == [1]
         assert exhaustive_g(n, k)[0] == clique_spectrum(hypergraph_from_edge_index(n, k, 0)).distinct_sizes == 1

@@ -24,7 +24,7 @@ from cliquespectra.hypergraphs import (
 )
 from cliquespectra.search import hypergraph_from_edge_index
 
-from builders import complete_graph, join_of_clique_pairs
+from builders import complete_graph, join_of_clique_pairs, triangle_lift
 
 SINGLE_EDGE = Hypergraph.from_edges(3, 4, [(0, 1, 2)])
 EDGELESS_33 = Hypergraph.from_edges(3, 3, [])
@@ -182,6 +182,21 @@ class TestEnumeration:
         for p in (0.5, 0.8):
             H = random_hypergraph(n, k, p, rng)
             assert enumerate_maximal_cliques(H) == brute_force_maximal_cliques(H)
+
+    def test_k3_pivot_matches_brute_force(self):
+        # the k = 3 branch skips the candidates its pivot covers, at every density
+        rng = random.Random(3)
+        for _ in range(200):
+            n, p = rng.randint(1, 12), rng.choice((0.2, 0.4, 0.6, 0.8, 0.9, 1.0))
+            H = random_hypergraph(n, 3, p, rng)
+            assert enumerate_maximal_cliques(H) == brute_force_maximal_cliques(H), (n, p)
+
+    @pytest.mark.parametrize("m, count", [(4, 35), (5, 68)])
+    def test_triangle_lifts(self, m, count):
+        # n = 23 and 41: the lift of the join keeps its 2^m sizes and adds pairs in no triangle
+        cliques = enumerate_maximal_cliques(triangle_lift(join_of_clique_pairs(m)))
+        assert len(cliques) == count
+        assert len({len(c) for c in cliques}) == (1 << m) + 1
 
 
 class TestSpectrum:

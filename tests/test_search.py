@@ -15,8 +15,9 @@ from cliquespectra.hypergraphs import Hypergraph, brute_force_maximal_cliques, c
 from cliquespectra.search import (
     SearchCheckpoint,
     SpectrumScanner,
-    _all_maximal,
+    _admits,
     _member,
+    _without,
     check_moon_moser,
     edge_index_of,
     edge_universe,
@@ -490,27 +491,57 @@ class TestMoonMoser:
 
 
 class TestFamilyCheck:
-    """The climb's feasibility check against the brute-force maximal cliques of K(F)."""
+    """The climb's trial check against the brute-force maximal cliques of K(rest + [x]),
+    and its table update against a table built from scratch."""
+
+    @staticmethod
+    def maximal_flags(family, n, k):
+        K = Hypergraph.from_edges(k, n, {
+            e for x in family
+            for e in itertools.combinations([v for v in range(n) if x >> v & 1], k)
+        })
+        maximal = {sum(1 << v for v in c) for c in brute_force_maximal_cliques(K)}
+        return [x in maximal for x in family]
+
+    @staticmethod
+    def cover_table(family, k):
+        """Each (k-1)-subset of a member to the union of the members that contain it."""
+        table = {}
+        for x in family:
+            bits = [1 << v for v in range(x.bit_length()) if x >> v & 1]
+            for t in map(sum, itertools.combinations(bits, k - 1)):
+                table[t] = table.get(t, 0) | x
+        return table
 
     def test_matches_brute_force_on_random_families(self):
         rng = random.Random(23)
         verdicts, edge_cases = set(), set()
         for _ in range(400):
             n, k = rng.randint(1, 8), rng.randint(2, 4)
-            sizes = rng.sample(range(n + 1), rng.randint(1, min(4, n + 1)))
-            family = [sum(1 << v for v in rng.sample(range(n), size)) for size in sizes]
-            K = Hypergraph.from_edges(k, n, {
-                e for x in family
-                for e in itertools.combinations([v for v in range(n) if x >> v & 1], k)
-            })
-            maximal = {sum(1 << v for v in c) for c in brute_force_maximal_cliques(K)}
-            expected = all(x in maximal for x in family)
-            assert _all_maximal([_member(x, k) for x in family], n) == expected, (n, k, family)
-            verdicts.add((expected, any(x in maximal for x in family)))
+            draw = lambda size: sum(1 << v for v in rng.sample(range(n), size))
+            rest = []  # all-maximal: each set is kept only if the family stays so
+            for size in rng.sample(range(n + 1), rng.randint(0, min(4, n + 1))):
+                z = draw(size)
+                if all(self.maximal_flags(rest + [z], n, k)):
+                    rest.append(z)
+            free = [size for size in range(n + 1)
+                    if size not in {z.bit_count() for z in rest}]
+            x = draw(rng.choice(free))
+            # the climber drops a member y and tries y with one vertex toggled,
+            # or tries a new set and drops nothing
+            y = rng.choice([0, x ^ 1 << rng.randrange(n), draw(rng.randint(0, n))])
+            members = [_member(z, k) for z in rest]
+            table = _without(self.cover_table(rest + [y], k), members, _member(y, k), k)
+            assert {t: union for t, union in table.items() if union} == self.cover_table(rest, k)
+            got = _admits(table, members, _member(x, k), n, k)
+            flags = self.maximal_flags(rest + [x], n, k)
+            assert got == all(flags), (n, k, rest, y, x)
+            verdicts.add("accepted" if all(flags) else "x not maximal" if not flags[-1]
+                         else "a member stops being maximal")
             edge_cases.update(("below k-1" if size < k - 1 else "k-1" if size == k - 1 else
-                               "full" if size == n else "other") for size in sizes)
-        # all maximal, some but not all, none; every kind of member size
-        assert verdicts == {(True, True), (False, True), (False, False)}
+                               "full" if size == n else "other")
+                              for size in [x.bit_count()] + [z.bit_count() for z in rest])
+        assert verdicts == {"accepted", "x not maximal", "a member stops being maximal"}
         assert edge_cases == {"below k-1", "k-1", "full", "other"}
 
 
@@ -564,7 +595,7 @@ class TestHillClimb:
             "import sys\n"
             "from cliquespectra import search\n"
             "assert False, 'asserts are live'\n"
-            "search._all_maximal = lambda members, n: True\n"
+            "search._admits = lambda *args: True\n"
             "try:\n"
             "    search.hill_climb_g(8, 2, 40, 1)\n"
             "except RuntimeError as exc:\n"

@@ -37,14 +37,12 @@ from .layered import (
     OrderedTree,
     Violation,
     brute_force_max_layered,
-    build_greedy_max_tree,
-    build_star_max_tree,
+    build_max_tree,
     contract,
     is_dfs_order,
     max_layered_size,
     parse_tree,
     serialize_tree,
-    star_tree,
     validate_layered,
 )
 from .search import (

@@ -233,11 +233,9 @@ def _cmd_validate_tree(args) -> int:
 def _cmd_max_tree(args) -> int:
     if args.C < 0:
         raise ValueError("--C must be >= 0")
-    if args.k == 1:
-        tree = layered.build_star_max_tree(args.C)
-    else:
-        tree = layered.build_greedy_max_tree(args.C)
-    if layered.validate_layered(tree, layered.LayeredParams(args.k, args.C)):
+    params = layered.LayeredParams(args.k, args.C)
+    tree = layered.build_max_tree(params)
+    if layered.validate_layered(tree, params):
         raise RuntimeError(f"the maximum ({args.k},{args.C}) tree fails its own budgets")
     print(f"maximum ({args.k},{args.C}) tree: {tree.size} vertices")
     if args.emit:

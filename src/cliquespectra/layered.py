@@ -170,8 +170,9 @@ def max_layered_size(params: LayeredParams) -> MaxTreeSize:
     """Largest vertex count any (depth, offset)-budgeted tree can reach.
 
     Exact closed forms exist for depth 1 (2^offset + 1: a star at the root)
-    and depth 2 (the greedy fill recurrence at index 2^offset); deeper trees
-    get the recursive upper bound, flagged as such.
+    and depth 2 (the greedy fill recurrence at index 2^offset), and this is
+    the one place they are computed (build_max_tree sizes its trees here);
+    deeper trees get the recursive upper bound, flagged as such.
     """
     if params.depth == 1:
         return MaxTreeSize(tree_size_bound(1, params.offset), "exact")
@@ -182,55 +183,35 @@ def max_layered_size(params: LayeredParams) -> MaxTreeSize:
     return MaxTreeSize(tree_size_bound(params.depth, params.offset), "upper_bound")
 
 
-GREEDY_TREE_CAP = 1_000_000  # the max-tree builders refuse trees past this many vertices
+GREEDY_TREE_CAP = 1_000_000  # build_max_tree refuses trees past this many vertices
 
 
-def _max_tree_size(depth: int, offset: int) -> int:
-    """Vertex count of the largest (depth, offset) tree for depth 1 or 2, or
-    ValueError past GREEDY_TREE_CAP; past MAX_ROUNDS steps it is named, not computed."""
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    if depth == 1:
-        target = tree_size_bound(1, offset)
-    else:
-        target = size_recurrence(offset, 1 << offset) if offset < MAX_ROUNDS.bit_length() else None
+def build_max_tree(params: LayeredParams) -> OrderedTree:
+    """Largest tree of depth 1 or 2 for the given budgets, in DFS insertion order.
+
+    The root takes its full budget of 2^offset children; at depth 2 each
+    child is inserted and saturated with the 2^(offset+pos) - 1 leaves its
+    positional budget allows before the next child appears.  The size comes
+    from max_layered_size and is checked against GREEDY_TREE_CAP before any
+    tuple is built; past MAX_ROUNDS recurrence steps it is named, not computed.
+    """
+    if params.depth > 2:
+        raise ValueError(f"no maximum tree is built past depth 2, got depth {params.depth}")
+    offset = params.offset
+    too_many_steps = params.depth == 2 and offset >= MAX_ROUNDS.bit_length()
+    target = None if too_many_steps else max_layered_size(params).value
     if target is None or not target.is_exact or target.to_int() > GREEDY_TREE_CAP:
         size = target.describe() if target is not None else f"s_(2^{offset})"
         raise ValueError(f"tree would need {size} vertices, over the cap of {GREEDY_TREE_CAP}")
-    return target.to_int()
-
-
-def build_star_max_tree(offset: int) -> OrderedTree:
-    """Largest depth-1 tree for the given offset: the root with 2^offset leaves."""
-    _max_tree_size(1, offset)
-    return star_tree(1 << offset)
-
-
-def build_greedy_max_tree(offset: int) -> OrderedTree:
-    """Largest depth-2 tree for the given offset, in DFS insertion order.
-
-    The root takes its full budget of 2^offset children; each child is
-    inserted and immediately saturated with the leaf count its own positional
-    budget allows before the next child appears.
-    """
-    target = _max_tree_size(2, offset)
     parents: List[int] = []
-    count = 1
     for _ in range(1 << offset):
-        pos = count
+        pos = len(parents) + 1
         parents.append(0)
-        count += 1
-        leaves = (1 << (offset + pos)) - 1  # positional degree budget minus the root edge
-        parents.extend([pos] * leaves)
-        count += leaves
-    if count != target:
-        raise RuntimeError(f"greedy tree has {count} vertices, the recurrence {target}")
+        if params.depth == 2:
+            parents.extend([pos] * ((1 << (offset + pos)) - 1))  # budget minus the root edge
+    if len(parents) + 1 != target.to_int():
+        raise RuntimeError(f"greedy tree has {len(parents) + 1} vertices, not {target.to_int()}")
     return OrderedTree(tuple(parents))
-
-
-def star_tree(leaf_count: int) -> OrderedTree:
-    """Root plus leaf_count direct children: the depth-1 maximum at offset log2."""
-    return OrderedTree(tuple([0] * leaf_count))
 
 
 def brute_force_max_layered(params: LayeredParams, n_cap: int) -> int:

@@ -24,7 +24,7 @@ from cliquespectra.layered import (
     LayeredParams,
     OrderedTree,
     brute_force_max_layered,
-    build_greedy_max_tree,
+    build_max_tree,
     contract,
     is_dfs_order,
     validate_layered,
@@ -145,7 +145,7 @@ def test_criterion_5_layered_tree_maxima():
         and size_recurrence(0, 1).to_int() == 3
         and size_recurrence(1, 2).to_int() == 69
     )
-    tree = build_greedy_max_tree(1)
+    tree = build_max_tree(LayeredParams(2, 1))
     ok = ok and tree.size == 69
     ok = ok and validate_layered(tree, LayeredParams(2, 1)) == []
     locally_maximal = all(

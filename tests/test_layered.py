@@ -9,14 +9,12 @@ from cliquespectra.layered import (
     LayeredParams,
     OrderedTree,
     brute_force_max_layered,
-    build_greedy_max_tree,
-    build_star_max_tree,
+    build_max_tree,
     contract,
     is_dfs_order,
     max_layered_size,
     parse_tree,
     serialize_tree,
-    star_tree,
     validate_layered,
 )
 
@@ -81,7 +79,7 @@ class TestValidation:
 
     def test_large_positions_short_circuit(self):
         # offsets way past the tree size never need a big power computed
-        t = star_tree(5)
+        t = OrderedTree((0,) * 5)
         assert validate_layered(t, LayeredParams(1, 3)) == []
 
 
@@ -171,10 +169,10 @@ class TestMaxSizes:
 
 class TestGreedyMaxTree:
     def test_offset_zero_is_the_path(self):
-        assert build_greedy_max_tree(0).parents == PATH3.parents
+        assert build_max_tree(LayeredParams(2, 0)).parents == PATH3.parents
 
     def test_offset_one_structure(self):
-        t = build_greedy_max_tree(1)
+        t = build_max_tree(LayeredParams(2, 1))
         assert t.size == 69
         assert t.children[0] == (1, 5)
         assert len(t.children[1]) == 3
@@ -183,26 +181,33 @@ class TestGreedyMaxTree:
 
     def test_cap_refusal_names_required_size(self):
         with pytest.raises(ValueError, match="vertices"):
-            build_greedy_max_tree(2)
+            build_max_tree(LayeredParams(2, 2))
         # past the recurrence's step cap the size is named, not computed
         with pytest.raises(ValueError, match=r"need s_\(2\^21\) vertices"):
-            build_greedy_max_tree(21)
+            build_max_tree(LayeredParams(2, 21))
 
     def test_both_depths_share_one_vertex_cap(self):
-        assert build_star_max_tree(19).size == (1 << 19) + 1 <= GREEDY_TREE_CAP
+        assert build_max_tree(LayeredParams(1, 19)).size == (1 << 19) + 1 <= GREEDY_TREE_CAP
         with pytest.raises(ValueError, match=r"^tree would need \(2\^1000000\+1\) vertices"):
-            build_star_max_tree(10 ** 6)  # refused before any tuple is built
-        for build in (build_star_max_tree, build_greedy_max_tree):
+            build_max_tree(LayeredParams(1, 10 ** 6))  # refused before any tuple is built
+        for depth in (1, 2):
             with pytest.raises(ValueError, match="offset must be >= 0"):
-                build(-1)
+                LayeredParams(depth, -1)
 
-    @pytest.mark.parametrize("offset", [0, 1])
-    def test_local_maximality(self, offset):
-        t = build_greedy_max_tree(offset)
-        assert t.size == size_recurrence(offset, 1 << offset).to_int()
+    def test_depth_three_is_refused(self):
+        with pytest.raises(ValueError, match="past depth 2"):
+            build_max_tree(LayeredParams(3, 0))
+
+    @pytest.mark.parametrize("depth, offset", [(1, o) for o in range(5)] + [(2, 0), (2, 1)])
+    def test_local_maximality(self, depth, offset):
+        params = LayeredParams(depth, offset)
+        t = build_max_tree(params)
+        assert t.size == max_layered_size(params).value.to_int()
+        if depth == 2:
+            assert t.size == size_recurrence(offset, 1 << offset).to_int()
         for v in range(t.size):
             extended = OrderedTree(t.parents + (v,))
-            assert validate_layered(extended, LayeredParams(2, offset))
+            assert validate_layered(extended, params)
 
 
 class TestDfsOrder:
@@ -235,7 +240,7 @@ class TestDfsOrder:
 
 class TestTreeFormat:
     def test_round_trip(self):
-        for t in (SINGLE, PATH3, STAR3, build_greedy_max_tree(1)):
+        for t in (SINGLE, PATH3, STAR3, build_max_tree(LayeredParams(2, 1))):
             assert parse_tree(serialize_tree(t)) == t
 
     def test_serialized_shape(self):
